@@ -17,15 +17,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .gadgets import add_spurious_cliques, blowup, complete_graph, disjoint_union
-from .graph import BucketQueue, Graph, build_graph, degeneracy_order, forward_wedge_count
+from .gadgets import (
+    add_spurious_cliques,
+    blowup,
+    complete_graph,
+    disjoint_union,
+    spurious_clique_budget,
+)
+from .graph import BucketQueue, Graph, build_graph, degeneracy_order
 from .sampling import (
     HypergraphSample,
     SamplerConfig,
-    effective_epsilon,
-    initial_probability,
+    fallback_certain,
     sample_hypergraph,
-    sample_size_target,
 )
 from .triangles import compute_supports
 from .truss import _peel_from_supports, suffix_support_profile
@@ -147,7 +151,9 @@ class EstimateResult:
     input, or a certification interval pinning a unique candidate).  The
     trace records each marker round as (x, test outcome); when every round's
     order came from the exact-enumeration fallback, the whole run was
-    deterministic and seed-independent.
+    deterministic and seed-independent.  Rounds whose fallback is certain
+    are decided in closed form from one exact decomposition of the input,
+    with the outcome an exact peel of the augmented graph would give.
     """
 
     estimate: Fraction
@@ -162,31 +168,16 @@ class EstimateResult:
 
 
 def _round_order(g: Graph, eps: float, zeta: float, seed: int) -> tuple[list[int], bool]:
-    """One marker round's edge order, with a provable-fallback fast path.
+    """One marker round's edge order on the random path.
 
-    The doubling loop can only stop early if the sample reaches the target
-    size, and the sample never exceeds the triangle count; so when the target
-    exceeds T (or the very first p is already >= 1) the fallback is certain
-    and the exact peeling order (bit-identical to peeling the full
-    hypergraph, same tie-breaks) is computed directly, skipping the
-    hypergraph materialization.  Returns (order, fell_back).
+    Samples the triangle hypergraph and peels the sample; if the sampler
+    fell back, the exact peeling order is used instead (bit-identical to
+    peeling the full hypergraph, same tie-breaks).  Returns (order, fell_back).
     """
-    info = degeneracy_order(g)
-    W = forward_wedge_count(g, info)
-    if W == 0:
-        supports = compute_supports(g)
-        return _peel_from_supports(g, supports)[1].order, True
-    eff = effective_epsilon(eps, g.n)
-    p0 = initial_probability(g.m, W, eff, zeta)
-    if p0 >= 1.0:
-        supports = compute_supports(g)
-        return _peel_from_supports(g, supports)[1].order, True
-    supports = compute_supports(g)
-    if supports.triangle_count < sample_size_target(g.m, eff, zeta):
-        return _peel_from_supports(g, supports)[1].order, True
-    sample = sample_hypergraph(g, info, SamplerConfig(epsilon=eps, zeta=zeta, seed=seed))
+    cfg = SamplerConfig(epsilon=eps, zeta=zeta, seed=seed)
+    sample = sample_hypergraph(g, degeneracy_order(g), cfg)
     if sample.fell_back_to_exact:
-        return _peel_from_supports(g, supports)[1].order, True
+        return _peel_from_supports(g, compute_supports(g))[1].order, True
     return hypergraph_degeneracy_order(sample, eps).order, False
 
 
@@ -211,6 +202,19 @@ def estimate_trussness(
     if the bracketing interval around it contains a single multiple of 6 the
     returned value is certified exact.
 
+    Which rounds can sample follows from closed-form facts.  For an input
+    with n nodes, m edges, T triangles, trussness t and degeneracy d, G has
+    6n+3 nodes, 36m+3 edges, 216T+1 triangles, trussness max(6t, 1) and
+    degeneracy max(6d, 2) (a q-fold blow-up scales degeneracy by q).  Each
+    of the ``spurious_clique_budget`` marker cliques of round x adds x+2
+    nodes, C(x+2,2) edges and C(x+2,3) triangles.  When ``fallback_certain``
+    holds for these sizes, the round's order is the exact peel, on which the
+    marker test hits iff x < t(G): a (support, id) peel removes every edge of
+    G with trussness <= x before the first marker edge, whose support stays
+    x until then and whose id is larger.  Such rounds are decided without
+    building anything; the ~36m-edge G, with its ``materialize`` cap, is
+    built once, and only if some round can take the random path.
+
     ``pseudocode_growth`` grows x by (1 + epsilon) per round instead of
     (1 + eps'); coarser, but cheaper on high-trussness inputs.
     """
@@ -224,9 +228,15 @@ def estimate_trussness(
     growth = 1 + (eps_exact if pseudocode_growth else eps_prime)
     eps_prime_float = float(eps_prime)
 
-    working = disjoint_union(blowup(g_in, 6).materialize(), complete_graph(3))
-    d_working = degeneracy_order(working).degeneracy
-    x_cap = min(2 * d_working + 2, math.ceil(2 * math.sqrt(working.m)))
+    supports = compute_supports(g_in)
+    t_in = _peel_from_supports(g_in, supports)[0].trussness
+    n_w = 6 * g_in.n + 3
+    m_w = 36 * g_in.m + 3
+    tri_w = 216 * supports.triangle_count + 1
+    t_w = max(6 * t_in, 1)
+    d_w = max(6 * degeneracy_order(g_in).degeneracy, 2)
+    x_cap = min(2 * d_w + 2, math.ceil(2 * math.sqrt(m_w)))
+    working: Graph | None = None
 
     x = 1
     t_tilde = 1
@@ -234,12 +244,25 @@ def estimate_trussness(
     all_fell_back = True
     base = random.Random(cfg.seed).randrange(2**62)  # decorrelate round seeds
     while True:
-        augmented = add_spurious_cliques(working, x)
-        order, fell_back = _round_order(
-            augmented.graph, eps_prime_float, cfg.zeta, base + len(trace)
-        )
-        all_fell_back = all_fell_back and fell_back
-        hit = marker_test(order, augmented.is_spurious)
+        count = spurious_clique_budget(m_w, x)
+        size = x + 2
+        if fallback_certain(
+            n_w + count * size,
+            m_w + count * math.comb(size, 2),
+            tri_w + count * math.comb(size, 3),
+            eps_prime_float,
+            cfg.zeta,
+        ):
+            hit = x < t_w
+        else:
+            if working is None:
+                working = disjoint_union(blowup(g_in, 6).materialize(), complete_graph(3))
+            augmented = add_spurious_cliques(working, x)
+            order, fell_back = _round_order(
+                augmented.graph, eps_prime_float, cfg.zeta, base + len(trace)
+            )
+            all_fell_back = all_fell_back and fell_back
+            hit = marker_test(order, augmented.is_spurious)
         trace.append((x, hit))
         if not hit:
             break

@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,8 +30,6 @@ from .io import EdgeListError, load_graph, write_edge_list
 from .sampling import SamplerConfig, gnp_random_graph, sample_hypergraph
 from .triangles import compute_supports, list_triangles
 from .truss import truss_decomposition
-
-THREADS_ENV = "TRUSSLAB_THREADS"
 
 
 @dataclass
@@ -538,15 +535,10 @@ def cmd_bench(args) -> int:
         graphs.append(_BenchGraph(name, g, triangles, decomp.trussness, secs))
 
     timing = not args.no_timing
-    workers = max(1, int(os.environ.get(THREADS_ENV, "1")))
-    work = [
-        (bg, estimators, args.epsilons, args.zetas, args.seeds, timing) for bg in graphs
+    blocks = [
+        _bench_rows_for_graph(bg, estimators, args.epsilons, args.zetas, args.seeds, timing)
+        for bg in graphs
     ]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(lambda w: _bench_rows_for_graph(*w), work))
-    else:
-        blocks = [_bench_rows_for_graph(*w) for w in work]
 
     with _open_out(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .graph import DegeneracyInfo, Graph, build_graph, forward_wedge_count
@@ -32,15 +32,12 @@ class SamplerConfig:
     epsilon: float
     zeta: float = 110.0
     seed: int = 0
-    stop_threshold_factor: float = field(default=1.5, repr=False)
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if self.zeta <= 0.0:
             raise ValueError(f"zeta must be positive, got {self.zeta}")
-        if self.stop_threshold_factor != 1.5:
-            raise ValueError("stop threshold factor is fixed at 3/2")
 
 
 @dataclass(frozen=True)
@@ -192,8 +189,21 @@ def initial_probability(m: int, wedges: int, epsilon: float, zeta: float) -> flo
     return zeta * m * math.log(m) / (wedges * epsilon * epsilon)
 
 
-def sample_size_target(m: int, epsilon: float, zeta: float, factor: float = 1.5) -> float:
-    return factor * zeta * m * math.log(m) / (epsilon * epsilon)
+def sample_size_target(m: int, epsilon: float, zeta: float) -> float:
+    return 1.5 * zeta * m * math.log(m) / (epsilon * epsilon)
+
+
+def fallback_certain(n: int, m: int, triangles: int, epsilon: float, zeta: float) -> bool:
+    """Whether ``sample_hypergraph`` must fall back on a graph with these n, m, T.
+
+    A skip pass never keeps more than the T triangles, so the doubling loop
+    can stop early only if T reaches the target size; below it every pass
+    falls short until p reaches 1.  This also covers W = 0 and a first p of
+    1 or more, since T <= W.  At or above the target the first p is below 1
+    and the outcome rests on the random passes.  Needs m >= 2.
+    """
+    eps = effective_epsilon(epsilon, n)
+    return triangles < sample_size_target(m, eps, zeta)
 
 
 def effective_epsilon(epsilon: float, n: int) -> float:
@@ -215,7 +225,7 @@ def sample_hypergraph(g: Graph, info: DegeneracyInfo, cfg: SamplerConfig) -> Hyp
         return HypergraphSample(g.m, [], 1.0, True, cfg.seed)
     eps = effective_epsilon(cfg.epsilon, g.n)
     p = initial_probability(g.m, W, eps, cfg.zeta)
-    target = sample_size_target(g.m, eps, cfg.zeta, cfg.stop_threshold_factor)
+    target = sample_size_target(g.m, eps, cfg.zeta)
     space = _WedgeSpace(g, info)
     rng = random.Random(cfg.seed)
     while p < 1.0:

@@ -2,17 +2,32 @@
 
 Everything here recomputes quantities by definition (exhaustive enumeration,
 subset sweeps, naive fixed points) without touching the peeling/sampling code
-paths under test, so expected values stay honest.
+paths under test, so expected values stay honest.  The one exception is the
+reference marker estimator at the end: it is the slow path that materialises
+every round, kept to check the estimator's closed-form shortcuts against.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from trusslab.graph import Graph
+from trusslab.approx import EstimateResult, hypergraph_degeneracy_order, marker_test
+from trusslab.gadgets import add_spurious_cliques, blowup, complete_graph, disjoint_union
+from trusslab.graph import Graph, degeneracy_order, forward_wedge_count
+from trusslab.sampling import (
+    SamplerConfig,
+    effective_epsilon,
+    initial_probability,
+    sample_hypergraph,
+    sample_size_target,
+)
+from trusslab.triangles import compute_supports
+from trusslab.truss import _peel_from_supports
 
 
 def brute_triangles(g: Graph) -> set[tuple[int, int, int]]:
@@ -147,3 +162,75 @@ def replay_min_degree_order(g: Graph, order: list[int]) -> bool:
             if v in remaining:
                 degree[v] -= 1
     return not remaining
+
+
+def reference_round_order(g: Graph, eps: float, zeta: float, seed: int) -> tuple[list[int], bool]:
+    """A marker round's (order, fell_back), deciding fallback on the graph.
+
+    Measures W, the first p and T on the materialised graph, takes the exact
+    peel when the sampler cannot reach its target, and samples otherwise.
+    """
+    info = degeneracy_order(g)
+    W = forward_wedge_count(g, info)
+    supports = compute_supports(g)
+    if W > 0:
+        eff = effective_epsilon(eps, g.n)
+        if initial_probability(g.m, W, eff, zeta) < 1.0:
+            if supports.triangle_count >= sample_size_target(g.m, eff, zeta):
+                cfg = SamplerConfig(epsilon=eps, zeta=zeta, seed=seed)
+                sample = sample_hypergraph(g, info, cfg)
+                if not sample.fell_back_to_exact:
+                    return hypergraph_degeneracy_order(sample, eps).order, False
+    return _peel_from_supports(g, supports)[1].order, True
+
+
+def reference_estimate_trussness(
+    g_in: Graph,
+    epsilon: float,
+    cfg: SamplerConfig | None = None,
+    pseudocode_growth: bool = False,
+) -> EstimateResult:
+    """The marker estimator with every round run on its materialised graph.
+
+    Builds the 6-fold blow-up united with K3, measures its degeneracy and
+    edge count for the cap on x, and in every round appends the marker
+    cliques, orders the augmented graph and applies the marker test to that
+    order.  Same round seeds and certification as ``estimate_trussness``.
+    """
+    if cfg is None:
+        cfg = SamplerConfig(epsilon=epsilon)
+    eps_exact = Fraction(str(epsilon))
+    eps_prime = eps_exact / 6
+    growth = 1 + (eps_exact if pseudocode_growth else eps_prime)
+    working = disjoint_union(blowup(g_in, 6).materialize(), complete_graph(3))
+    d_working = degeneracy_order(working).degeneracy
+    x_cap = min(2 * d_working + 2, math.ceil(2 * math.sqrt(working.m)))
+    x = 1
+    t_tilde = 1
+    trace: list[tuple[int, bool]] = []
+    all_fell_back = True
+    base = random.Random(cfg.seed).randrange(2**62)
+    while True:
+        augmented = add_spurious_cliques(working, x)
+        order, fell_back = reference_round_order(
+            augmented.graph, float(eps_prime), cfg.zeta, base + len(trace)
+        )
+        all_fell_back = all_fell_back and fell_back
+        hit = marker_test(order, augmented.is_spurious)
+        trace.append((x, hit))
+        if not hit:
+            break
+        t_tilde = x
+        nxt = math.ceil(growth * x)
+        if nxt > x_cap:
+            break
+        x = nxt
+    if t_tilde < 2:
+        return EstimateResult(Fraction(0), True, len(trace), trace, all_fell_back)
+    low = Fraction(t_tilde) / (1 + eps_prime)
+    high = (t_tilde + 1) * (1 + 3 * eps_prime)
+    first = math.ceil(low / 6)
+    last = math.floor(high / 6)
+    if first == last:
+        return EstimateResult(Fraction(first), True, len(trace), trace, all_fell_back)
+    return EstimateResult(Fraction(t_tilde, 6), False, len(trace), trace, all_fell_back)

@@ -1,9 +1,13 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import FIGURE_LEFT_TRUSSNESS, figure_left_graph
+from conftest import FIGURE_LEFT_TRUSSNESS, figure_left_graph, gadget_graphs
+from oracles import reference_estimate_trussness
+from test_cli import run_cli
 from test_graph import small_graphs
 from trusslab.approx import (
     approx_order_holds,
@@ -19,8 +23,11 @@ from trusslab.gadgets import (
     bipartite_apex,
     blowup,
     complete_graph,
+    disjoint_union,
+    spurious_clique_budget,
 )
-from trusslab.graph import build_graph
+from trusslab.graph import build_graph, degeneracy_order, forward_wedge_count
+from trusslab.io import edge_list_text
 from trusslab.sampling import HypergraphSample, SamplerConfig, gnp_random_graph
 from trusslab.triangles import compute_supports, list_triangles
 from trusslab.truss import is_exact_truss_order, truss_decomposition, trussness
@@ -199,12 +206,103 @@ def test_estimate_deterministic_given_seed():
 
 
 def test_estimate_stochastic_rounds_still_return():
-    # tiny zeta flips rounds onto the random path; the cap keeps the loop
-    # finite and the result is still a ratio
+    # tiny zeta flips rounds onto the random path (at zeta=0.01 every round
+    # still falls back here); the cap keeps the loop finite and the result
+    # is still a ratio
     g = blowup(complete_graph(4), 2).materialize()
-    result = estimate_trussness(g, 0.5, SamplerConfig(epsilon=0.5, zeta=0.01, seed=2))
+    result = estimate_trussness(g, 0.5, SamplerConfig(epsilon=0.5, zeta=0.002, seed=2))
+    assert not result.all_rounds_fell_back
     assert result.iterations == len(result.trace) >= 1
     assert result.estimate >= 0
+
+
+# ------------------------------------------- closed-form marker rounds ----
+#
+# The estimator decides every round whose fallback is certain from facts of
+# the input alone.  The tests below check those facts on materialised
+# graphs and the whole estimator against the reference loop that builds and
+# orders every round's augmented graph (``oracles``).  The reference is slow,
+# so inputs stay at m <= 16.
+
+
+def oracle_graphs():
+    gnp = [gnp_random_graph(n, p, seed) for n, p, seed in
+           ((6, 0.6, 1), (7, 0.5, 2), (8, 0.5, 3), (7, 0.7, 4), (6, 0.9, 6))]
+    gadgets = [g for _, g in gadget_graphs() if g.m <= 16]
+    return gnp + gadgets + [build_graph([(0, 1), (1, 2), (2, 3)])]
+
+
+def test_working_graph_matches_closed_form():
+    for g in oracle_graphs():
+        T = compute_supports(g).triangle_count
+        t = trussness(g)
+        d = degeneracy_order(g).degeneracy
+        working = disjoint_union(blowup(g, 6).materialize(), complete_graph(3))
+        info = degeneracy_order(working)
+        w_working = forward_wedge_count(working, info)
+        t_working = max(6 * t, 1)
+        d_working = max(6 * d, 2)
+        assert (working.n, working.m) == (6 * g.n + 3, 36 * g.m + 3)
+        assert compute_supports(working).triangle_count == 216 * T + 1 <= w_working
+        assert info.degeneracy == d_working
+        assert trussness(working) == t_working
+        x_cap = min(2 * d_working + 2, math.ceil(2 * math.sqrt(working.m)))
+        for x in sorted({1, 2, t_working - 1, t_working, t_working + 1, x_cap} - {0}):
+            augmented = add_spurious_cliques(working, x)
+            aug = augmented.graph
+            count = spurious_clique_budget(working.m, x)
+            size = x + 2
+            assert augmented.spurious_clique_count == count
+            assert aug.n == working.n + count * size
+            assert aug.m == working.m + count * math.comb(size, 2)
+            assert compute_supports(aug).triangle_count == (
+                216 * T + 1 + count * math.comb(size, 3)
+            )
+            aug_info = degeneracy_order(aug)
+            assert forward_wedge_count(aug, aug_info) == w_working + count * math.comb(size, 3)
+            assert aug_info.degeneracy == max(d_working, x + 1)
+            decomp, order = truss_decomposition(aug)
+            assert decomp.trussness == max(t_working, x)
+            assert marker_test(order.order, augmented.is_spurious) == (x < t_working)
+
+
+def test_estimate_matches_materialised_reference():
+    """Identical results on every (graph, zeta), rotating eps, seed and growth."""
+    zeta_grid = (110.0, 4.0, 0.05, 0.005, 0.001)
+    modes = list(itertools.product((0.3, 0.5, 0.9), (0, 1, 7), (False, True)))
+    sampled = 0
+    for i, (g, zeta) in enumerate(itertools.product(oracle_graphs(), zeta_grid)):
+        eps, seed, growth = modes[i % len(modes)]
+        cfg = SamplerConfig(epsilon=eps, zeta=zeta, seed=seed)
+        got = estimate_trussness(g, eps, cfg, pseudocode_growth=growth)
+        want = reference_estimate_trussness(g, eps, cfg, pseudocode_growth=growth)
+        assert got == want, (list(g.edges()), eps, zeta, seed, growth)
+        sampled += not want.all_rounds_fell_back
+    assert sampled >= 10
+
+
+def test_cli_output_matches_materialised_reference(tmp_path, capsys, monkeypatch):
+    graphs = {"k4": complete_graph(4), "gnp": gnp_random_graph(7, 0.5, 2),
+              "apex": bipartite_apex(3)}
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    paths = []
+    for name, g in graphs.items():
+        path = corpus / f"{name}.edges"
+        path.write_text(edge_list_text(g))
+        paths.append(str(path))
+    runs = [["truss", "approx", "--epsilon", "0.5", "--zeta", zeta, "--seed", "3", path]
+            for zeta in ("110", "0.001") for path in paths]
+    runs.append(["truss", "approx", "--epsilon", "0.9", "--zeta", "0.005",
+                 "--pseudocode-growth", paths[1]])
+    runs.append(["bench", "--corpus", str(corpus), "--epsilons", "0.3,0.9",
+                 "--zetas", "110,0.005", "--seeds", "0:2", "--no-timing"])
+    fast = [run_cli(capsys, *argv) for argv in runs]
+    monkeypatch.setattr("trusslab.cli.estimate_trussness", reference_estimate_trussness)
+    slow = [run_cli(capsys, *argv) for argv in runs]
+    assert [out for _, out, _ in fast] == [out for _, out, _ in slow]
+    assert all(code == 0 for code, _, _ in fast + slow)
+    assert any("fallback-only false" in out for _, out, _ in fast)
 
 
 # -------------------------------------------------------------- threshold ----

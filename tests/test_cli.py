@@ -265,15 +265,3 @@ def test_bench_deterministic_without_timing(tmp_path, capsys):
     code, first, _ = run_cli(capsys, *argv)
     code, second, _ = run_cli(capsys, *argv)
     assert first == second
-
-
-def test_bench_threads_env_matches_serial(tmp_path, capsys, monkeypatch):
-    corpus = bench_corpus(tmp_path)
-    argv = [
-        "bench", "--corpus", corpus, "--epsilons", "0.3",
-        "--seeds", "0:2", "--no-timing",
-    ]
-    code, serial, _ = run_cli(capsys, *argv)
-    monkeypatch.setenv("TRUSSLAB_THREADS", "2")
-    code, threaded, _ = run_cli(capsys, *argv)
-    assert serial == threaded

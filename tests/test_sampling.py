@@ -12,6 +12,7 @@ from trusslab.sampling import (
     HypergraphSample,
     SamplerConfig,
     effective_epsilon,
+    fallback_certain,
     geometric_skip,
     gnp_random_graph,
     initial_probability,
@@ -19,7 +20,7 @@ from trusslab.sampling import (
     sample_size_target,
     sample_wedges_fixed_p,
 )
-from trusslab.triangles import list_triangles
+from trusslab.triangles import compute_supports, list_triangles
 
 
 # -------------------------------------------------------- geometric skip ----
@@ -156,6 +157,29 @@ def test_doubling_exit_size_reaches_target():
     assert abs(ratio - 2 ** round(math.log2(ratio))) < 1e-9
 
 
+def test_fallback_certain_predicts_the_sampler():
+    """Below the target size the sampler always falls back, whatever the
+    seed; at or above it the first p is below 1 and the passes decide."""
+    graphs = [complete_graph(4), bipartite_apex(3), gnp_random_graph(12, 0.5, 8),
+              gnp_random_graph(30, 0.4, 2), gnp_random_graph(40, 0.6, 3)]
+    certain = uncertain = 0
+    for g in graphs:
+        info = degeneracy_order(g)
+        T = compute_supports(g).triangle_count
+        W = forward_wedge_count(g, info)
+        for eps in (0.1, 0.5, 0.9):
+            for zeta in (110.0, 1.0, 0.05, 0.01, 0.001):
+                cfg = SamplerConfig(epsilon=eps, zeta=zeta, seed=4)
+                if fallback_certain(g.n, g.m, T, eps, zeta):
+                    certain += 1
+                    assert sample_hypergraph(g, info, cfg).fell_back_to_exact
+                else:
+                    uncertain += 1
+                    eff = effective_epsilon(eps, g.n)
+                    assert initial_probability(g.m, W, eff, zeta) < 1.0
+    assert certain and uncertain
+
+
 def test_sampled_hyperedges_are_real_triangles():
     g = gnp_random_graph(12, 0.5, 8)
     info = degeneracy_order(g)
@@ -184,8 +208,6 @@ def test_sampler_config_validation():
         SamplerConfig(epsilon=1.0)
     with pytest.raises(ValueError):
         SamplerConfig(epsilon=0.5, zeta=0.0)
-    with pytest.raises(ValueError):
-        SamplerConfig(epsilon=0.5, stop_threshold_factor=2.0)
 
 
 # ------------------------------------------------------------ generation ----
