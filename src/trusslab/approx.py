@@ -167,17 +167,17 @@ class EstimateResult:
         return float(self.estimate)
 
 
-def _round_order(g: Graph, eps: float, zeta: float, seed: int) -> tuple[list[int], bool]:
+def _round_order(g: Graph, eps: float, zeta: float, seed: int) -> tuple[list[int] | None, bool]:
     """One marker round's edge order on the random path.
 
-    Samples the triangle hypergraph and peels the sample; if the sampler
-    fell back, the exact peeling order is used instead (bit-identical to
-    peeling the full hypergraph, same tie-breaks).  Returns (order, fell_back).
+    Samples the triangle hypergraph and peels the sample.  Returns
+    (order, fell_back); the order is None when the sampler fell back, since
+    the exact order's marker outcome is known in closed form.
     """
     cfg = SamplerConfig(epsilon=eps, zeta=zeta, seed=seed)
     sample = sample_hypergraph(g, degeneracy_order(g), cfg)
     if sample.fell_back_to_exact:
-        return _peel_from_supports(g, compute_supports(g))[1].order, True
+        return None, True
     return hypergraph_degeneracy_order(sample, eps).order, False
 
 
@@ -188,7 +188,9 @@ def _ceil_fraction(value: Fraction) -> int:
 def estimate_trussness(
     g_in: Graph,
     epsilon: float,
-    cfg: SamplerConfig | None = None,
+    *,
+    zeta: float = 110.0,
+    seed: int = 0,
     pseudocode_growth: bool = False,
 ) -> EstimateResult:
     """Estimate the trussness of g_in within (1 +- epsilon), w.h.p.
@@ -213,15 +215,17 @@ def estimate_trussness(
     G with trussness <= x before the first marker edge, whose support stays
     x until then and whose id is larger.  Such rounds are decided without
     building anything; the ~36m-edge G, with its ``materialize`` cap, is
-    built once, and only if some round can take the random path.
+    built once, and only if some round can take the random path.  A round
+    whose sampler falls back anyway takes the same closed-form outcome.
+    ``zeta`` and ``seed`` are the samplers' (see ``SamplerConfig``).
 
     ``pseudocode_growth`` grows x by (1 + epsilon) per round instead of
     (1 + eps'); coarser, but cheaper on high-trussness inputs.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    if cfg is None:
-        cfg = SamplerConfig(epsilon=epsilon)
+    if zeta <= 0.0:
+        raise ValueError(f"zeta must be positive, got {zeta}")
 
     eps_exact = Fraction(str(epsilon))
     eps_prime = eps_exact / 6
@@ -242,7 +246,7 @@ def estimate_trussness(
     t_tilde = 1
     trace: list[tuple[int, bool]] = []
     all_fell_back = True
-    base = random.Random(cfg.seed).randrange(2**62)  # decorrelate round seeds
+    base = random.Random(seed).randrange(2**62)  # decorrelate round seeds
     while True:
         count = spurious_clique_budget(m_w, x)
         size = x + 2
@@ -251,7 +255,7 @@ def estimate_trussness(
             m_w + count * math.comb(size, 2),
             tri_w + count * math.comb(size, 3),
             eps_prime_float,
-            cfg.zeta,
+            zeta,
         ):
             hit = x < t_w
         else:
@@ -259,10 +263,10 @@ def estimate_trussness(
                 working = disjoint_union(blowup(g_in, 6).materialize(), complete_graph(3))
             augmented = add_spurious_cliques(working, x)
             order, fell_back = _round_order(
-                augmented.graph, eps_prime_float, cfg.zeta, base + len(trace)
+                augmented.graph, eps_prime_float, zeta, base + len(trace)
             )
             all_fell_back = all_fell_back and fell_back
-            hit = marker_test(order, augmented.is_spurious)
+            hit = x < t_w if order is None else marker_test(order, augmented.is_spurious)
         trace.append((x, hit))
         if not hit:
             break

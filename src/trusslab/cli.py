@@ -129,10 +129,6 @@ def _add_out(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, metavar="PATH", help="write output to PATH")
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=["edgelist"], default="edgelist")
-
-
 # ---------------------------------------------------------------- truss ----
 
 
@@ -161,9 +157,10 @@ def cmd_truss_decompose(args) -> int:
 
 def cmd_truss_approx(args) -> int:
     g, _ = load_graph(args.input)
-    cfg = SamplerConfig(epsilon=args.epsilon, zeta=args.zeta, seed=args.seed)
     start = time.perf_counter()
-    result = estimate_trussness(g, args.epsilon, cfg, pseudocode_growth=args.pseudocode_growth)
+    result = estimate_trussness(
+        g, args.epsilon, zeta=args.zeta, seed=args.seed, pseudocode_growth=args.pseudocode_growth
+    )
     elapsed = time.perf_counter() - start
     with _open_out(args.out) as out:
         print(f"estimate {result.estimate}", file=out)
@@ -462,9 +459,8 @@ def _bench_rows_for_graph(
                     if cached is not None:
                         cell_results.append((cached, True, 0.0))
                         continue
-                    cfg = SamplerConfig(epsilon=eps, zeta=zeta, seed=seed)
                     start = time.perf_counter()
-                    result = estimate_trussness(bg.graph, eps, cfg)
+                    result = estimate_trussness(bg.graph, eps, zeta=zeta, seed=seed)
                     secs = time.perf_counter() - start
                     cell_results.append((result, False, secs))
                     if result.all_rounds_fell_back:
@@ -626,7 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = gadget_sub.add_parser("blowup", help="materialized q-fold blow-up")
     _add_input(p)
     _add_out(p)
-    _add_format(p)
     p.add_argument("-q", type=int, required=True)
     p.add_argument("--max-edges", type=int, default=10_000_000)
     p.set_defaults(func=cmd_gadget_blowup)
@@ -634,19 +629,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = gadget_sub.add_parser("spurious", help="append disjoint marker cliques")
     _add_input(p)
     _add_out(p)
-    _add_format(p)
     p.add_argument("-x", type=int, required=True)
     p.set_defaults(func=cmd_gadget_spurious)
 
     p = gadget_sub.add_parser("ladder", help="clique with graded pendants")
     _add_out(p)
-    _add_format(p)
     p.add_argument("-x", type=int, required=True)
     p.set_defaults(func=cmd_gadget_ladder)
 
     p = gadget_sub.add_parser("bipartite-apex", help="complete bipartite plus apex")
     _add_out(p)
-    _add_format(p)
     p.add_argument("-s", "--side", dest="side", type=int, required=True)
     p.set_defaults(func=cmd_gadget_bipartite_apex)
 
@@ -654,7 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen_sub = gen.add_subparsers(dest="subcommand", required=True)
     p = gen_sub.add_parser("random", help="Erdos-Renyi G(n, p)")
     _add_out(p)
-    _add_format(p)
     p.add_argument("n", type=int)
     p.add_argument("p", type=_probability)
     p.add_argument("--seed", type=int, default=0)

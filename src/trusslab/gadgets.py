@@ -54,10 +54,6 @@ class BlowupView:
         q = self.q
         return [v * q + j for v in self.base.neighbors(x // q) for j in range(q)]
 
-    def ith_neighbor(self, x: int, i: int) -> int:
-        q = self.q
-        return self.base.ith_neighbor(x // q, i // q) * q + (i % q)
-
     def degree(self, x: int) -> int:
         return self.base.degree(x // self.q) * self.q
 

@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Collection, Iterable, Iterator, Protocol
 
 
 class GraphView(Protocol):
     """Navigation contract shared by concrete graphs and implicit gadget views.
 
-    The five operations must be mutually consistent: ``degree(u)`` equals the
-    length of ``neighbors(u)``, and ``has_edge(u, v)`` agrees with membership
-    of ``v`` in ``neighbors(u)``.
+    The four operations must be mutually consistent: ``degree(u)`` equals the
+    length of ``neighbors(u)``, ``has_edge(u, v)`` agrees with membership of
+    ``v`` in ``neighbors(u)``, and ``edges()`` lists each edge once.
     """
 
     n: int
@@ -21,9 +21,7 @@ class GraphView(Protocol):
 
     def has_edge(self, u: int, v: int) -> bool: ...
 
-    def neighbors(self, u: int) -> Sequence[int]: ...
-
-    def ith_neighbor(self, u: int, i: int) -> int: ...
+    def neighbors(self, u: int) -> Collection[int]: ...
 
     def degree(self, u: int) -> int: ...
 
@@ -32,28 +30,23 @@ class Graph:
     """Undirected simple graph with dense edge identifiers.
 
     Nodes are ``0..n-1``; edge ids are ``0..m-1`` in first-appearance order of
-    the (deduplicated) input edge list.  Neighbor lists are sorted ascending.
-    Instances are immutable after construction and safe to share across
-    threads.
+    the (deduplicated) input edge list.  Each node keeps one map from
+    neighbor to edge id, iterated in ascending neighbor order, so a single
+    lookup both tests an edge and names it.  Instances are immutable after
+    construction and safe to share across threads.
     """
 
-    __slots__ = ("n", "m", "_adj", "_adj_sets", "_pairs", "_ids")
+    __slots__ = ("n", "m", "_adj", "_pairs")
 
     def __init__(self, n: int, pairs: list[tuple[int, int]]):
-        adj: list[list[int]] = [[] for _ in range(n)]
-        ids: dict[tuple[int, int], int] = {}
+        adj: list[dict[int, int]] = [{} for _ in range(n)]
         for eid, (u, v) in enumerate(pairs):
-            adj[u].append(v)
-            adj[v].append(u)
-            ids[(u, v)] = eid
-        for lst in adj:
-            lst.sort()
+            adj[u][v] = eid
+            adj[v][u] = eid
         self.n = n
         self.m = len(pairs)
-        self._adj = adj
-        self._adj_sets = [set(lst) for lst in adj]
+        self._adj = [{v: ids[v] for v in sorted(ids)} for ids in adj]
         self._pairs = pairs
-        self._ids = ids
 
     def nodes(self) -> range:
         return range(self.n)
@@ -62,15 +55,11 @@ class Graph:
         return iter(self._pairs)
 
     def has_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n):
-            return False
-        return v in self._adj_sets[u]
+        return 0 <= u < self.n and v in self._adj[u]
 
-    def neighbors(self, u: int) -> list[int]:
+    def neighbors(self, u: int) -> dict[int, int]:
+        """Neighbor -> edge id, ascending by neighbor; do not mutate."""
         return self._adj[u]
-
-    def ith_neighbor(self, u: int, i: int) -> int:
-        return self._adj[u][i]
 
     def degree(self, u: int) -> int:
         return len(self._adj[u])
@@ -80,7 +69,9 @@ class Graph:
 
     def edge_id(self, u: int, v: int) -> int:
         """Dense id of edge {u, v}; raises KeyError if absent."""
-        return self._ids[(u, v) if u < v else (v, u)]
+        if 0 <= u < self.n:
+            return self._adj[u][v]
+        raise KeyError((u, v))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph(n={self.n}, m={self.m})"
@@ -177,9 +168,6 @@ class BucketQueue:
         heapq.heappush(self._buckets.setdefault(k, []), item)
         if k < self._cur:
             self._cur = k
-
-    def is_live(self, item: int) -> bool:
-        return self._alive[item]
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .graph import DegeneracyInfo, Graph, build_graph, forward_wedge_count
+from .triangles import forward_rows, forward_triangles, sorted3
 
 
 @dataclass(frozen=True)
@@ -82,41 +83,22 @@ class _WedgeSpace:
     so a geometric skip sequence selects a reproducible wedge subset.
     """
 
-    __slots__ = ("g", "centers", "fwd", "starts", "total")
+    __slots__ = ("g", "rows", "starts", "total")
 
     def __init__(self, g: Graph, info: DegeneracyInfo):
-        pos = info.positions
-        centers: list[int] = []
-        fwd: list[list[int]] = []
-        starts: list[int] = []
-        total = 0
-        for u in info.order:
-            pu = pos[u]
-            lst = [v for v in g.neighbors(u) if pos[v] > pu]
-            if len(lst) < 2:
-                continue
-            lst.sort(key=pos.__getitem__)
-            centers.append(u)
-            fwd.append(lst)
-            starts.append(total)
-            total += len(lst) * (len(lst) - 1) // 2
         self.g = g
-        self.centers = centers
-        self.fwd = fwd
-        self.starts = starts
+        self.rows = list(forward_rows(g, info))
+        self.starts: list[int] = []
+        total = 0
+        for _, later, _ in self.rows:
+            self.starts.append(total)
+            total += len(later) * (len(later) - 1) // 2
         self.total = total
 
     def iter_closed(self) -> Iterator[tuple[int, int, int]]:
         """All closed wedges, i.e. every triangle once, in serial order."""
-        g = self.g
-        for u, lst in zip(self.centers, self.fwd):
-            k = len(lst)
-            for i in range(k):
-                a = lst[i]
-                for j in range(i + 1, k):
-                    b = lst[j]
-                    if g.has_edge(a, b):
-                        yield _hyperedge(g, u, a, b)
+        for _, _, _, x, y, z in forward_triangles(self.g, self.rows):
+            yield sorted3(x, y, z)
 
     def closed_at(self, serial: int, cursor: int) -> tuple[tuple[int, int, int] | None, int]:
         """Wedge at a serial number, or None if open.
@@ -125,36 +107,21 @@ class _WedgeSpace:
         increasing order, so the center scan resumes instead of restarting.
         """
         starts = self.starts
-        fwd = self.fwd
         while cursor + 1 < len(starts) and starts[cursor + 1] <= serial:
             cursor += 1
-        lst = fwd[cursor]
+        _, later, ids = self.rows[cursor]
         local = serial - starts[cursor]
-        row = len(lst) - 1
+        row = len(later) - 1
         i = 0
         while local >= row:
             local -= row
             i += 1
             row -= 1
-        a = lst[i]
-        b = lst[i + 1 + local]
-        g = self.g
-        if g.has_edge(a, b):
-            return _hyperedge(g, self.centers[cursor], a, b), cursor
-        return None, cursor
-
-
-def _hyperedge(g: Graph, u: int, a: int, b: int) -> tuple[int, int, int]:
-    x = g.edge_id(u, a)
-    y = g.edge_id(u, b)
-    z = g.edge_id(a, b)
-    if x > y:
-        x, y = y, x
-    if y > z:
-        y, z = z, y
-        if x > y:
-            x, y = y, x
-    return (x, y, z)
+        j = i + 1 + local
+        closing = self.g.neighbors(later[i]).get(later[j])
+        if closing is None:
+            return None, cursor
+        return sorted3(ids[i], ids[j], closing), cursor
 
 
 def _skip_pass(space: _WedgeSpace, p: float, rng: random.Random) -> list[tuple[int, int, int]]:

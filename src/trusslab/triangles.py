@@ -1,11 +1,19 @@
-"""Triangle counting, listing, and per-edge support."""
+"""Triangle counting, listing, and per-edge support.
+
+Every triangle is found by one walk over the forward wedges of the
+degeneracy order (Chiba & Nishizeki 1985): a triangle's earliest node sees
+the other two among its later neighbors, so it closes exactly one of them.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
-from .graph import Graph, degeneracy_order
+from .graph import DegeneracyInfo, Graph, degeneracy_order
+
+# (node, its later neighbors ascending by position, ids of the edges to them)
+ForwardRow = tuple[int, list[int], list[int]]
 
 
 @dataclass(frozen=True)
@@ -24,53 +32,80 @@ class Triangle:
     edges: tuple[int, int, int]
 
 
-def make_triangle(g: Graph, a: int, b: int, c: int) -> Triangle:
-    x, y, z = sorted((a, b, c))
-    eids = sorted((g.edge_id(x, y), g.edge_id(x, z), g.edge_id(y, z)))
-    return Triangle((x, y, z), (eids[0], eids[1], eids[2]))
+def sorted3(x: int, y: int, z: int) -> tuple[int, int, int]:
+    if x > y:
+        x, y = y, x
+    if y > z:
+        y, z = z, y
+        if x > y:
+            x, y = y, x
+    return (x, y, z)
 
 
-def support_of_edge(g: Graph, u: int, v: int) -> int:
-    """|N(u) ∩ N(v)|, walking the smaller neighborhood."""
-    if g.degree(u) > g.degree(v):
-        u, v = v, u
-    hits = 0
-    for z in g.neighbors(u):
-        if g.has_edge(v, z):
-            hits += 1
-    return hits
+def make_triangle(a: int, b: int, c: int, ab: int, ac: int, bc: int) -> Triangle:
+    """Canonical triangle from its nodes and the ids of its three edges."""
+    return Triangle(sorted3(a, b, c), sorted3(ab, ac, bc))
+
+
+def forward_rows(g: Graph, info: DegeneracyInfo) -> Iterator[ForwardRow]:
+    """Each node in degeneracy order with its later neighbors and their edge
+    ids; nodes with fewer than two later neighbors center no wedge and are
+    skipped."""
+    pos = info.positions
+    for u in info.order:
+        ids = g.neighbors(u)
+        pu = pos[u]
+        later = [v for v in ids if pos[v] > pu]
+        if len(later) > 1:
+            later.sort(key=pos.__getitem__)
+            yield u, later, [ids[v] for v in later]
+
+
+def forward_triangles(
+    g: Graph, rows: Iterable[ForwardRow] | None = None
+) -> Iterator[tuple[int, int, int, int, int, int]]:
+    """Every triangle once, as (u, a, b, id(u,a), id(u,b), id(a,b)).
+
+    Walks the wedges a-u-b of each row, pairs in index order, and keeps the
+    closed ones; ``rows`` defaults to ``forward_rows`` in degeneracy order.
+    """
+    if rows is None:
+        rows = forward_rows(g, degeneracy_order(g))
+    adj = g.neighbors
+    for u, later, ids in rows:
+        for i in range(len(later) - 1):
+            a = later[i]
+            ua = ids[i]
+            closing = adj(a).get
+            for b, ub in zip(later[i + 1 :], ids[i + 1 :]):
+                ab = closing(b)
+                if ab is not None:
+                    yield u, a, b, ua, ub, ab
 
 
 def compute_supports(g: Graph) -> SupportTable:
-    """Exact support of every edge; the triangle count is their sum / 3."""
+    """Exact support of every edge: three increments per triangle."""
     support = [0] * g.m
-    total = 0
-    for eid, (u, v) in enumerate(g.edges()):
-        s = support_of_edge(g, u, v)
-        support[eid] = s
-        total += s
-    return SupportTable(support, total // 3)
+    count = 0
+    for _, _, _, x, y, z in forward_triangles(g):
+        support[x] += 1
+        support[y] += 1
+        support[z] += 1
+        count += 1
+    return SupportTable(support, count)
 
 
 def list_triangles(g: Graph, sink: Optional[Callable[[Triangle], None]] = None) -> int:
     """Emit each triangle exactly once in canonical form; return the count.
 
-    Enumerates closed forward wedges in degeneracy order, so every triangle
-    is found at its earliest-ordered node only.
+    Triangles arrive in forward-wedge order, each at its earliest-ordered
+    node.
     """
-    info = degeneracy_order(g)
-    pos = info.positions
     count = 0
-    for u in info.order:
-        pu = pos[u]
-        fwd = [v for v in g.neighbors(u) if pos[v] > pu]
-        fwd.sort(key=pos.__getitem__)
-        for i, a in enumerate(fwd):
-            for b in fwd[i + 1 :]:
-                if g.has_edge(a, b):
-                    count += 1
-                    if sink is not None:
-                        sink(make_triangle(g, u, a, b))
+    for walked in forward_triangles(g):
+        count += 1
+        if sink is not None:
+            sink(make_triangle(*walked))
     return count
 
 
@@ -82,4 +117,4 @@ def triangle_of_wedge(g: Graph, center: int, a: int, b: int) -> Triangle | None:
         raise ValueError(f"({a}, {b}) are not both neighbors of {center}")
     if not g.has_edge(a, b):
         return None
-    return make_triangle(g, center, a, b)
+    return make_triangle(center, a, b, g.edge_id(center, a), g.edge_id(center, b), g.edge_id(a, b))

@@ -4,7 +4,7 @@ and recovery of the decomposition from any truss-order oracle."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .gadgets import blowup, disjoint_union, ladder_gadget
 from .graph import BucketQueue, Graph, degeneracy_order
@@ -36,6 +36,21 @@ class EdgeOrder:
     forward_support: list[int]
 
 
+def _closing_edges(g: Graph, eid: int) -> Iterator[tuple[int, int]]:
+    """Ids of the two other edges of each triangle on ``eid``, walking the
+    smaller of its endpoints' maps."""
+    u, v = g.pair(eid)
+    near = g.neighbors(u)
+    far = g.neighbors(v)
+    if len(near) > len(far):
+        near, far = far, near
+    closing = far.get
+    for z, e1 in near.items():
+        e2 = closing(z)
+        if e2 is not None:
+            yield e1, e2
+
+
 def _peel_from_supports(g: Graph, supports: SupportTable) -> tuple[TrussDecomposition, EdgeOrder]:
     m = g.m
     queue = BucketQueue(supports.support)
@@ -52,17 +67,8 @@ def _peel_from_supports(g: Graph, supports: SupportTable) -> tuple[TrussDecompos
         removed[eid] = True
         order.append(eid)
         fwd.append(s)
-        u, v = g.pair(eid)
-        if g.degree(u) > g.degree(v):
-            u, v = v, u
-        for z in g.neighbors(u):
-            if g.has_edge(v, z):
-                e1 = g.edge_id(u, z)
-                if removed[e1]:
-                    continue
-                e2 = g.edge_id(v, z)
-                if removed[e2]:
-                    continue
+        for e1, e2 in _closing_edges(g, eid):
+            if not removed[e1] and not removed[e2]:
                 queue.decrease(e1)
                 queue.decrease(e2)
     return TrussDecomposition(t, level), EdgeOrder(order, fwd)
@@ -107,26 +113,31 @@ def suffix_support_profile(g: Graph, order: Sequence[int]) -> tuple[list[int], l
         raise ValueError("order is not a permutation of the edge ids")
     present = [False] * m
     sup = [0] * m
-    inserted: list[int] = []
+    # Present edges per support value; supports only grow by one, so the
+    # minimum rises at most one step per increment and the scan is O(m + T).
+    count = [0] * (m + 1)
+    low = 0
     fwd = [0] * m
     min_sup = [0] * m
     for i in range(m - 1, -1, -1):
         eid = order[i]
-        u, v = g.pair(eid)
-        if g.degree(u) > g.degree(v):
-            u, v = v, u
-        for z in g.neighbors(u):
-            if g.has_edge(v, z):
-                e1 = g.edge_id(u, z)
-                e2 = g.edge_id(v, z)
-                if present[e1] and present[e2]:
-                    sup[eid] += 1
-                    sup[e1] += 1
-                    sup[e2] += 1
+        s = 0
+        for e1, e2 in _closing_edges(g, eid):
+            if present[e1] and present[e2]:
+                s += 1
+                for e in (e1, e2):
+                    count[sup[e]] -= 1
+                    sup[e] += 1
+                    count[sup[e]] += 1
         present[eid] = True
-        inserted.append(eid)
-        fwd[i] = sup[eid]
-        min_sup[i] = min(sup[e] for e in inserted)
+        sup[eid] = s
+        count[s] += 1
+        if s < low:
+            low = s
+        while not count[low]:
+            low += 1
+        fwd[i] = s
+        min_sup[i] = low
     return fwd, min_sup
 
 

@@ -164,6 +164,33 @@ def replay_min_degree_order(g: Graph, order: list[int]) -> bool:
     return not remaining
 
 
+def reference_suffix_support_profile(g: Graph, order: list[int]) -> tuple[list[int], list[int]]:
+    """Per-position forward support and suffix-minimum support, replaying
+    ``order`` from the back and taking each minimum over the whole suffix."""
+    m = g.m
+    present = [False] * m
+    sup = [0] * m
+    inserted: list[int] = []
+    fwd = [0] * m
+    min_sup = [0] * m
+    for i in range(m - 1, -1, -1):
+        eid = order[i]
+        u, v = g.pair(eid)
+        for z in g.neighbors(u):
+            if g.has_edge(v, z):
+                e1 = g.edge_id(u, z)
+                e2 = g.edge_id(v, z)
+                if present[e1] and present[e2]:
+                    sup[eid] += 1
+                    sup[e1] += 1
+                    sup[e2] += 1
+        present[eid] = True
+        inserted.append(eid)
+        fwd[i] = sup[eid]
+        min_sup[i] = min(sup[e] for e in inserted)
+    return fwd, min_sup
+
+
 def reference_round_order(g: Graph, eps: float, zeta: float, seed: int) -> tuple[list[int], bool]:
     """A marker round's (order, fell_back), deciding fallback on the graph.
 
@@ -187,7 +214,9 @@ def reference_round_order(g: Graph, eps: float, zeta: float, seed: int) -> tuple
 def reference_estimate_trussness(
     g_in: Graph,
     epsilon: float,
-    cfg: SamplerConfig | None = None,
+    *,
+    zeta: float = 110.0,
+    seed: int = 0,
     pseudocode_growth: bool = False,
 ) -> EstimateResult:
     """The marker estimator with every round run on its materialised graph.
@@ -197,8 +226,6 @@ def reference_estimate_trussness(
     cliques, orders the augmented graph and applies the marker test to that
     order.  Same round seeds and certification as ``estimate_trussness``.
     """
-    if cfg is None:
-        cfg = SamplerConfig(epsilon=epsilon)
     eps_exact = Fraction(str(epsilon))
     eps_prime = eps_exact / 6
     growth = 1 + (eps_exact if pseudocode_growth else eps_prime)
@@ -209,11 +236,11 @@ def reference_estimate_trussness(
     t_tilde = 1
     trace: list[tuple[int, bool]] = []
     all_fell_back = True
-    base = random.Random(cfg.seed).randrange(2**62)
+    base = random.Random(seed).randrange(2**62)
     while True:
         augmented = add_spurious_cliques(working, x)
         order, fell_back = reference_round_order(
-            augmented.graph, float(eps_prime), cfg.zeta, base + len(trace)
+            augmented.graph, float(eps_prime), zeta, base + len(trace)
         )
         all_fell_back = all_fell_back and fell_back
         hit = marker_test(order, augmented.is_spurious)

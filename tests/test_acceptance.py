@@ -30,7 +30,6 @@ from trusslab.graph import degeneracy_order
 from trusslab.io import edge_list_text, write_edge_list
 from trusslab.sampling import (
     HypergraphSample,
-    SamplerConfig,
     geometric_skip,
     gnp_random_graph,
     sample_wedges_fixed_p,
@@ -208,7 +207,7 @@ def test_criterion_10_deterministic_regime_exactness():
     for name, g in instances:
         t = trussness(g)
         for eps in (0.3, 0.9):
-            result = estimate_trussness(g, eps, SamplerConfig(epsilon=eps, seed=1))
+            result = estimate_trussness(g, eps, seed=1)
             assert result.all_rounds_fell_back, name
             assert result.estimate == t, (name, eps, t, str(result.estimate))
     elapsed = time.perf_counter() - start

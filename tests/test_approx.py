@@ -153,6 +153,8 @@ def test_estimate_rejects_bad_epsilon():
     for eps in (0.0, 1.0, -0.2):
         with pytest.raises(ValueError):
             estimate_trussness(g, eps)
+    with pytest.raises(ValueError):
+        estimate_trussness(g, 0.5, zeta=0.0)
 
 
 def test_estimate_triangle_free_is_exact_zero():
@@ -173,7 +175,7 @@ def test_estimate_k3_with_fallback_zeta():
 
 def test_estimate_figure_left_several_epsilons(figure_left):
     for eps in (0.3, 0.5, 0.9):
-        result = estimate_trussness(figure_left, eps, SamplerConfig(epsilon=eps, seed=1))
+        result = estimate_trussness(figure_left, eps, seed=1)
         assert result.estimate == FIGURE_LEFT_TRUSSNESS
         assert result.exact
 
@@ -199,9 +201,8 @@ def test_estimate_pseudocode_growth_variant():
 
 def test_estimate_deterministic_given_seed():
     g = gnp_random_graph(9, 0.5, 33)
-    cfg = SamplerConfig(epsilon=0.5, zeta=0.05, seed=9)
-    a = estimate_trussness(g, 0.5, cfg)
-    b = estimate_trussness(g, 0.5, cfg)
+    a = estimate_trussness(g, 0.5, zeta=0.05, seed=9)
+    b = estimate_trussness(g, 0.5, zeta=0.05, seed=9)
     assert a == b
 
 
@@ -210,7 +211,7 @@ def test_estimate_stochastic_rounds_still_return():
     # still falls back here); the cap keeps the loop finite and the result
     # is still a ratio
     g = blowup(complete_graph(4), 2).materialize()
-    result = estimate_trussness(g, 0.5, SamplerConfig(epsilon=0.5, zeta=0.002, seed=2))
+    result = estimate_trussness(g, 0.5, zeta=0.002, seed=2)
     assert not result.all_rounds_fell_back
     assert result.iterations == len(result.trace) >= 1
     assert result.estimate >= 0
@@ -270,12 +271,17 @@ def test_estimate_matches_materialised_reference():
     """Identical results on every (graph, zeta), rotating eps, seed and growth."""
     zeta_grid = (110.0, 4.0, 0.05, 0.005, 0.001)
     modes = list(itertools.product((0.3, 0.5, 0.9), (0, 1, 7), (False, True)))
+    cases = [(g, zeta, *modes[i % len(modes)])
+             for i, (g, zeta) in enumerate(itertools.product(oracle_graphs(), zeta_grid))]
+    # Rounds that could sample but whose sampler falls back: every such round
+    # of blowup(K4, 2), and on the first graph one at x = t(G).
+    cases.append((blowup(complete_graph(4), 2).materialize(), 0.005, 0.5, 0, False))
+    cases.append((oracle_graphs()[0], 0.001, 0.5, 0, False))
     sampled = 0
-    for i, (g, zeta) in enumerate(itertools.product(oracle_graphs(), zeta_grid)):
-        eps, seed, growth = modes[i % len(modes)]
-        cfg = SamplerConfig(epsilon=eps, zeta=zeta, seed=seed)
-        got = estimate_trussness(g, eps, cfg, pseudocode_growth=growth)
-        want = reference_estimate_trussness(g, eps, cfg, pseudocode_growth=growth)
+    for g, zeta, eps, seed, growth in cases:
+        kwargs = dict(zeta=zeta, seed=seed, pseudocode_growth=growth)
+        got = estimate_trussness(g, eps, **kwargs)
+        want = reference_estimate_trussness(g, eps, **kwargs)
         assert got == want, (list(g.edges()), eps, zeta, seed, growth)
         sampled += not want.all_rounds_fell_back
     assert sampled >= 10

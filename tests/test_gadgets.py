@@ -71,8 +71,6 @@ def test_blowup_view_matches_materialized(g):
         assert view.has_edge(x, y) == mat.has_edge(x, y)
         assert view.degree(x) == mat.degree(x)
         assert sorted(view.neighbors(x)) == list(mat.neighbors(x))
-        for i in range(view.degree(x)):
-            assert view.ith_neighbor(x, i) in mat.neighbors(x)
 
 
 def test_blowup_amplification_sample():

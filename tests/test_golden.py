@@ -1,0 +1,54 @@
+"""CLI stdout on fixed small graphs, byte for byte.
+
+The expected files under ``tests/golden`` were captured from the CLI before
+the graph core moved to per-node edge-id maps.  Regenerate them only for a
+deliberate change of output:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import os
+from contextlib import redirect_stdout
+
+import pytest
+
+from trusslab.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+# gnp_random_graph(9, 0.5, 4), bipartite_apex(3) and ladder_gadget(4)
+GRAPHS = ["gnp9", "apex3", "ladder4"]
+COMMANDS = {
+    "decompose": ["truss", "decompose"],
+    "order-edges": ["order", "--edges"],
+    "triangles-list": ["triangles", "list"],
+    "sample": ["sample", "--zeta", "0.05", "--seed", "1"],
+    "approx-zeta110": ["truss", "approx", "--zeta", "110"],
+    "approx-zeta0.001": ["truss", "approx", "--zeta", "0.001"],
+}
+CASES = {
+    f"{graph}.{name}": [*argv, os.path.join(GOLDEN, f"{graph}.edges")]
+    for graph in GRAPHS
+    for name, argv in COMMANDS.items()
+}
+CASES["bench"] = [
+    "bench", "--corpus", GOLDEN, "--no-timing", "--zetas", "110,0.01", "--seeds", "0:2"
+]
+
+
+def expected_path(case: str) -> str:
+    return os.path.join(GOLDEN, f"{case}.out")
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stdout_matches_golden(case, capsys):
+    assert main(CASES[case]) == 0
+    with open(expected_path(case), encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
+if __name__ == "__main__":
+    for case, argv in CASES.items():
+        with open(expected_path(case), "w", encoding="utf-8") as out, redirect_stdout(out):
+            main(argv)

@@ -64,6 +64,9 @@ def test_edge_ids_follow_input_order():
     assert g.pair(0) == (1, 2)
     assert g.pair(1) == (0, 1)
     assert g.edge_id(2, 0) == 2
+    for u, v in ((-1, 2), (3, 0), (0, 0)):
+        with pytest.raises(KeyError):
+            g.edge_id(u, v)
 
 
 @given(small_graphs())
@@ -77,9 +80,8 @@ def test_view_operations_consistent(g):
     for u in range(g.n):
         nbrs = g.neighbors(u)
         assert g.degree(u) == len(nbrs)
-        assert nbrs == sorted(nbrs)
-        for i in range(len(nbrs)):
-            assert g.ith_neighbor(u, i) == nbrs[i]
+        assert list(nbrs) == sorted(nbrs)
+        assert all(g.pair(e) == (min(u, v), max(u, v)) for v, e in nbrs.items())
         for v in range(g.n):
             assert g.has_edge(u, v) == (v in set(nbrs))
     for _ in range(10):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,19 @@ def test_peeling_order_properties(g):
     assert fwd == order.forward_support
     assert fwd == min_sup  # exact truss order: always the residual minimum
     assert is_exact_truss_order(g, order.order)
+
+
+def test_suffix_profile_matches_reference():
+    """Linear replay against the whole-suffix minimum, on exact truss orders
+    and on random permutations of seeded random graphs."""
+    rng = random.Random(31)
+    for i in range(30):
+        g = gnp_random_graph(6 + i % 9, (0.3, 0.5, 0.8)[i % 3], 900 + i)
+        shuffled = list(range(g.m))
+        rng.shuffle(shuffled)
+        for order in (truss_decomposition(g)[1].order, shuffled):
+            want = oracles.reference_suffix_support_profile(g, order)
+            assert suffix_support_profile(g, order) == want, (i, order)
 
 
 @settings(max_examples=60)
