@@ -77,21 +77,20 @@ def hypergraph_degeneracy_order(
         incidence[c].append(idx)
     queue = BucketQueue(degree)
     live = [True] * len(hyperedges)
-    removed = [False] * m
     order: list[int] = []
     forward: list[int] = []
     for _ in range(m):
         v, d = queue.pop_min()
-        removed[v] = True
         order.append(v)
         forward.append(d)
+        # Both other endpoints of a live hyperedge are live; v itself is
+        # popped, so the queue skips it.
+        batch: list[int] = []
         for idx in incidence[v]:
-            if not live[idx]:
-                continue
-            live[idx] = False
-            for w in hyperedges[idx]:
-                if w != v and not removed[w]:
-                    queue.decrease(w)
+            if live[idx]:
+                live[idx] = False
+                batch.extend(hyperedges[idx])
+        queue.decrease(batch)
     return ApproxTrussOrder(order, forward, certified_epsilon, sample)
 
 

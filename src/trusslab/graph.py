@@ -113,11 +113,13 @@ def build_graph(edges: Iterable[tuple[int, int]], node_count: int | None = None)
 class BucketQueue:
     """Monotone bucket min-queue used by every peeling in this package.
 
-    Keys are small non-negative integers that only move down (one unit per
-    ``decrease`` call), which lets the scan pointer resume where it left off;
-    it is pulled back whenever a decrement dips below it.  Ties break on the
-    smallest item id via a lazy per-bucket heap: stale entries are discarded
-    when popped, so each key change costs one push.
+    Keys are small non-negative integers that only move down, one unit per
+    occurrence of an item in a batch passed to ``decrease``; a peel hands
+    over everything one pop affects in a single call.  The scan pointer
+    resumes where it left off and is pulled back whenever a decrement dips
+    below it.  Ties break on the smallest item id via a lazy per-bucket
+    heap: stale entries are discarded when popped, so each key change costs
+    one push.
     """
 
     __slots__ = ("_key", "_alive", "_buckets", "_cur", "_count")
@@ -142,32 +144,49 @@ class BucketQueue:
         """Remove and return ``(item, key)`` with the smallest (key, item)."""
         if self._count == 0:
             raise IndexError("pop from empty BucketQueue")
+        buckets = self._buckets
+        keys = self._key
+        alive = self._alive
+        cur = self._cur
+        heap = buckets.get(cur)
         while True:
-            heap = self._buckets.get(self._cur)
             if not heap:
-                self._buckets.pop(self._cur, None)
-                self._cur += 1
+                buckets.pop(cur, None)
+                cur += 1
+                heap = buckets.get(cur)
                 continue
-            item = heap[0]
-            if not self._alive[item] or self._key[item] != self._cur:
-                heapq.heappop(heap)  # stale
-                continue
-            heapq.heappop(heap)
-            self._alive[item] = False
-            self._count -= 1
-            return item, self._cur
+            item = heapq.heappop(heap)
+            if alive[item] and keys[item] == cur:
+                break
+            # stale entry: the item was popped or its key has moved down
+        alive[item] = False
+        self._cur = cur
+        self._count -= 1
+        return item, cur
 
-    def decrease(self, item: int) -> None:
-        """Decrement a live item's key by one."""
-        if not self._alive[item]:
-            return
-        k = self._key[item] - 1
-        if k < 0:
-            raise ValueError(f"key of item {item} would become negative")
-        self._key[item] = k
-        heapq.heappush(self._buckets.setdefault(k, []), item)
-        if k < self._cur:
-            self._cur = k
+    def decrease(self, items: Iterable[int]) -> None:
+        """Decrement the key of each live item once per occurrence in
+        ``items``; items already popped are skipped."""
+        keys = self._key
+        alive = self._alive
+        buckets = self._buckets
+        cur = self._cur
+        for item in items:
+            if not alive[item]:
+                continue
+            k = keys[item] - 1
+            if k < 0:
+                self._cur = cur
+                raise ValueError(f"key of item {item} would become negative")
+            keys[item] = k
+            heap = buckets.get(k)
+            if heap is None:
+                buckets[k] = [item]
+            else:
+                heapq.heappush(heap, item)
+            if k < cur:
+                cur = k
+        self._cur = cur
 
 
 @dataclass(frozen=True)
@@ -192,19 +211,15 @@ def degeneracy_order(g: GraphView) -> DegeneracyInfo:
     order: list[int] = []
     forward = [0] * n
     positions = [0] * n
-    removed = [False] * n
     degeneracy = 0
     for rank in range(n):
         u, d = queue.pop_min()
-        removed[u] = True
         order.append(u)
         positions[u] = rank
         forward[u] = d
         if d > degeneracy:
             degeneracy = d
-        for v in g.neighbors(u):
-            if not removed[v]:
-                queue.decrease(v)
+        queue.decrease(g.neighbors(u))  # popped neighbors are skipped
     return DegeneracyInfo(order, degeneracy, forward, positions)
 
 

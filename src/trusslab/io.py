@@ -64,6 +64,8 @@ def _load_stream(fh: IO[str]) -> tuple[Graph, list[bool]]:
     edges, raw_flags = parse_edge_lines(fh)
     g = build_graph(edges)
     flags = [False] * g.m
+    if not any(raw_flags):
+        return g, flags
     seen: set[int] = set()
     for (u, v), flag in zip(edges, raw_flags):
         if u == v:

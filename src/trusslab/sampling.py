@@ -87,7 +87,7 @@ class _WedgeSpace:
 
     def __init__(self, g: Graph, info: DegeneracyInfo):
         self.g = g
-        self.rows = list(forward_rows(g, info))
+        self.rows = list(forward_rows(g, info.order, info.positions))
         self.starts: list[int] = []
         total = 0
         for _, later, _ in self.rows:

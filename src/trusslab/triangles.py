@@ -1,16 +1,19 @@
 """Triangle counting, listing, and per-edge support.
 
-Every triangle is found by one walk over the forward wedges of the
-degeneracy order (Chiba & Nishizeki 1985): a triangle's earliest node sees
-the other two among its later neighbors, so it closes exactly one of them.
+Every triangle is found by one walk over the forward wedges of a node order
+(Chiba & Nishizeki 1985): a triangle's earliest node sees the other two
+among its later neighbors, so it closes exactly one of them.  Supports walk
+the (degree, id) order, which takes one sort; listing and the sampler's
+wedge space walk the degeneracy order, which fixes the listing order and
+the sampler's wedge serials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .graph import DegeneracyInfo, Graph, degeneracy_order
+from .graph import Graph, degeneracy_order
 
 # (node, its later neighbors ascending by position, ids of the edges to them)
 ForwardRow = tuple[int, list[int], list[int]]
@@ -47,18 +50,26 @@ def make_triangle(a: int, b: int, c: int, ab: int, ac: int, bc: int) -> Triangle
     return Triangle(sorted3(a, b, c), sorted3(ab, ac, bc))
 
 
-def forward_rows(g: Graph, info: DegeneracyInfo) -> Iterator[ForwardRow]:
-    """Each node in degeneracy order with its later neighbors and their edge
-    ids; nodes with fewer than two later neighbors center no wedge and are
-    skipped."""
-    pos = info.positions
-    for u in info.order:
+def forward_rows(g: Graph, order: Sequence[int], pos: Sequence[int]) -> Iterator[ForwardRow]:
+    """Each node in ``order`` with its later neighbors and their edge ids;
+    ``pos[u]`` is the index of u in ``order``.  Nodes with fewer than two
+    later neighbors center no wedge and are skipped."""
+    for u in order:
         ids = g.neighbors(u)
         pu = pos[u]
         later = [v for v in ids if pos[v] > pu]
         if len(later) > 1:
             later.sort(key=pos.__getitem__)
             yield u, later, [ids[v] for v in later]
+
+
+def degree_order(g: Graph) -> tuple[list[int], list[int]]:
+    """Nodes ascending by (degree, id), and the position of each node."""
+    order = sorted(range(g.n), key=g.degree)
+    positions = [0] * g.n
+    for rank, u in enumerate(order):
+        positions[u] = rank
+    return order, positions
 
 
 def forward_triangles(
@@ -70,7 +81,8 @@ def forward_triangles(
     closed ones; ``rows`` defaults to ``forward_rows`` in degeneracy order.
     """
     if rows is None:
-        rows = forward_rows(g, degeneracy_order(g))
+        info = degeneracy_order(g)
+        rows = forward_rows(g, info.order, info.positions)
     adj = g.neighbors
     for u, later, ids in rows:
         for i in range(len(later) - 1):
@@ -84,10 +96,15 @@ def forward_triangles(
 
 
 def compute_supports(g: Graph) -> SupportTable:
-    """Exact support of every edge: three increments per triangle."""
+    """Exact support of every edge: three increments per triangle.
+
+    Walks the forward wedges of the (degree, id) order, where every node has
+    at most sqrt(2m) later neighbors; supports do not depend on the order,
+    so no degeneracy peel is needed.
+    """
     support = [0] * g.m
     count = 0
-    for _, _, _, x, y, z in forward_triangles(g):
+    for _, _, _, x, y, z in forward_triangles(g, forward_rows(g, *degree_order(g))):
         support[x] += 1
         support[y] += 1
         support[z] += 1
@@ -98,8 +115,8 @@ def compute_supports(g: Graph) -> SupportTable:
 def list_triangles(g: Graph, sink: Optional[Callable[[Triangle], None]] = None) -> int:
     """Emit each triangle exactly once in canonical form; return the count.
 
-    Triangles arrive in forward-wedge order, each at its earliest-ordered
-    node.
+    Triangles arrive in the forward-wedge order of the degeneracy order,
+    each at its earliest-ordered node.
     """
     count = 0
     for walked in forward_triangles(g):

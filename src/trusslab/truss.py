@@ -4,7 +4,7 @@ and recovery of the decomposition from any truss-order oracle."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .gadgets import blowup, disjoint_union, ladder_gadget
 from .graph import BucketQueue, Graph, degeneracy_order
@@ -36,25 +36,35 @@ class EdgeOrder:
     forward_support: list[int]
 
 
-def _closing_edges(g: Graph, eid: int) -> Iterator[tuple[int, int]]:
-    """Ids of the two other edges of each triangle on ``eid``, walking the
-    smaller of its endpoints' maps."""
-    u, v = g.pair(eid)
-    near = g.neighbors(u)
-    far = g.neighbors(v)
+def _closing_edge_ids(near: dict[int, int], far: dict[int, int]) -> list[int]:
+    """Ids of the two other edges of each triangle on an edge whose endpoint
+    maps (neighbor -> edge id) are ``near`` and ``far``, as one flat list;
+    walks the smaller map."""
     if len(near) > len(far):
         near, far = far, near
     closing = far.get
+    ids: list[int] = []
     for z, e1 in near.items():
         e2 = closing(z)
         if e2 is not None:
-            yield e1, e2
+            ids.append(e1)
+            ids.append(e2)
+    return ids
 
 
 def _peel_from_supports(g: Graph, supports: SupportTable) -> tuple[TrussDecomposition, EdgeOrder]:
+    """Min-support peel from precomputed supports.
+
+    Works on a copy of every node's neighbor -> edge-id map that shrinks as
+    the peel goes: a popped edge leaves both endpoint maps before the
+    smaller one is walked, so removed edges are never probed and every
+    triangle found is live.  The other two edges of all triangles a pop
+    closes go to the queue in one batched decrement.
+    """
     m = g.m
     queue = BucketQueue(supports.support)
-    removed = [False] * m
+    adj = [dict(g.neighbors(u)) for u in range(g.n)]
+    pair = g.pair
     t = [0] * m
     order: list[int] = []
     fwd: list[int] = []
@@ -64,13 +74,14 @@ def _peel_from_supports(g: Graph, supports: SupportTable) -> tuple[TrussDecompos
         if s > level:
             level = s
         t[eid] = level
-        removed[eid] = True
         order.append(eid)
         fwd.append(s)
-        for e1, e2 in _closing_edges(g, eid):
-            if not removed[e1] and not removed[e2]:
-                queue.decrease(e1)
-                queue.decrease(e2)
+        u, v = pair(eid)
+        near = adj[u]
+        far = adj[v]
+        del near[v]
+        del far[u]
+        queue.decrease(_closing_edge_ids(near, far))
     return TrussDecomposition(t, level), EdgeOrder(order, fwd)
 
 
@@ -111,7 +122,9 @@ def suffix_support_profile(g: Graph, order: Sequence[int]) -> tuple[list[int], l
     m = g.m
     if sorted(order) != list(range(m)):
         raise ValueError("order is not a permutation of the edge ids")
-    present = [False] * m
+    # Maps of the edges inserted so far, so every triangle found is present.
+    adj: list[dict[int, int]] = [{} for _ in range(g.n)]
+    pair = g.pair
     sup = [0] * m
     # Present edges per support value; supports only grow by one, so the
     # minimum rises at most one step per increment and the scan is O(m + T).
@@ -121,15 +134,17 @@ def suffix_support_profile(g: Graph, order: Sequence[int]) -> tuple[list[int], l
     min_sup = [0] * m
     for i in range(m - 1, -1, -1):
         eid = order[i]
-        s = 0
-        for e1, e2 in _closing_edges(g, eid):
-            if present[e1] and present[e2]:
-                s += 1
-                for e in (e1, e2):
-                    count[sup[e]] -= 1
-                    sup[e] += 1
-                    count[sup[e]] += 1
-        present[eid] = True
+        u, v = pair(eid)
+        near = adj[u]
+        far = adj[v]
+        closing = _closing_edge_ids(near, far)
+        for e in closing:
+            count[sup[e]] -= 1
+            sup[e] += 1
+            count[sup[e]] += 1
+        near[v] = eid
+        far[u] = eid
+        s = len(closing) // 2
         sup[eid] = s
         count[s] += 1
         if s < low:

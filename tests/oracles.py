@@ -2,13 +2,15 @@
 
 Everything here recomputes quantities by definition (exhaustive enumeration,
 subset sweeps, naive fixed points) without touching the peeling/sampling code
-paths under test, so expected values stay honest.  The one exception is the
-reference marker estimator at the end: it is the slow path that materialises
-every round, kept to check the estimator's closed-form shortcuts against.
+paths under test, so expected values stay honest.  The exceptions are the
+reference slow paths kept to check fast ones against: the peel with a
+removed-edge array and one heap push per decrement, the quadratic suffix
+replay, and the marker estimator that materialises every round.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -26,8 +28,8 @@ from trusslab.sampling import (
     sample_hypergraph,
     sample_size_target,
 )
-from trusslab.triangles import compute_supports
-from trusslab.truss import _peel_from_supports
+from trusslab.triangles import SupportTable, compute_supports
+from trusslab.truss import EdgeOrder, TrussDecomposition, _peel_from_supports
 
 
 def brute_triangles(g: Graph) -> set[tuple[int, int, int]]:
@@ -162,6 +164,46 @@ def replay_min_degree_order(g: Graph, order: list[int]) -> bool:
             if v in remaining:
                 degree[v] -= 1
     return not remaining
+
+
+def reference_peel_from_supports(
+    g: Graph, supports: SupportTable
+) -> tuple[TrussDecomposition, EdgeOrder]:
+    """Min-support peel, ties by smallest edge id, on one (support, id) heap.
+
+    Each pop scans its smaller endpoint map in full against the immutable
+    graph, skips triangles with a removed edge, and decrements the other
+    two edges one at a time.
+    """
+    m = g.m
+    key = list(supports.support)
+    heap = [(k, eid) for eid, k in enumerate(key)]
+    heapq.heapify(heap)
+    removed = [False] * m
+    t = [0] * m
+    order: list[int] = []
+    fwd: list[int] = []
+    level = 0
+    while heap:
+        s, eid = heapq.heappop(heap)
+        if removed[eid] or s != key[eid]:
+            continue
+        level = max(level, s)
+        t[eid] = level
+        removed[eid] = True
+        order.append(eid)
+        fwd.append(s)
+        u, v = g.pair(eid)
+        near, far = g.neighbors(u), g.neighbors(v)
+        if len(near) > len(far):
+            near, far = far, near
+        for z, e1 in near.items():
+            e2 = far.get(z)
+            if e2 is not None and not removed[e1] and not removed[e2]:
+                for e in (e1, e2):
+                    key[e] -= 1
+                    heapq.heappush(heap, (key[e], e))
+    return TrussDecomposition(t, level), EdgeOrder(order, fwd)
 
 
 def reference_suffix_support_profile(g: Graph, order: list[int]) -> tuple[list[int], list[int]]:

@@ -117,6 +117,16 @@ def test_spurious_round_trip(tmp_path, capsys):
     assert out2 == out
 
 
+def test_spurious_flag_follows_first_surviving_occurrence(tmp_path):
+    text = "0 1\n1 2\n0 2\n1 0 # spurious\n2 2 # spurious\n2 3 # spurious\n3 2\n"
+    g, flags = load_graph(write_graph(tmp_path, "dup.edges", text))
+    assert g.m == 4
+    assert flags == [False, False, False, True]
+    g, flags = load_graph(write_graph(tmp_path, "plain.edges", "0 1\n1 2\n1 0\n"))
+    assert g.m == 2
+    assert flags == [False, False]
+
+
 def test_gadget_blowup_quantities(tmp_path, capsys):
     path = write_graph(tmp_path, "k3.edges", edge_list_text(complete_graph(3)))
     code, out, _ = run_cli(capsys, "gadget", "blowup", "-q", "2", path)
@@ -265,3 +275,23 @@ def test_bench_deterministic_without_timing(tmp_path, capsys):
     code, first, _ = run_cli(capsys, *argv)
     code, second, _ = run_cli(capsys, *argv)
     assert first == second
+
+
+def test_bench_exact_computes_supports_once_per_graph(tmp_path, capsys, monkeypatch):
+    import trusslab.cli as cli
+
+    d = tmp_path / "corpus"
+    d.mkdir()
+    (d / "k5.edges").write_text(k5_text())
+    calls = []
+    real = cli.compute_supports
+
+    def counting(g):
+        calls.append(g.m)
+        return real(g)
+
+    monkeypatch.setattr(cli, "compute_supports", counting)
+    code, out, _ = run_cli(capsys, "bench", "--corpus", str(d), "--estimators", "exact")
+    assert code == 0
+    assert calls == [10]
+    assert any(l.startswith("run,k5,exact") for l in out.splitlines())

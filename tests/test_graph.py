@@ -170,7 +170,7 @@ def test_bucket_queue_orders_by_key_then_id():
     q = BucketQueue([2, 0, 2, 1])
     assert q.pop_min() == (1, 0)
     assert q.pop_min() == (3, 1)
-    q.decrease(2)
+    q.decrease([2])
     assert q.pop_min() == (2, 1)
     assert q.pop_min() == (0, 2)
     with pytest.raises(IndexError):
@@ -180,7 +180,33 @@ def test_bucket_queue_orders_by_key_then_id():
 def test_bucket_queue_cursor_follows_decrements():
     q = BucketQueue([5, 5, 5])
     assert q.pop_min() == (0, 5)
-    q.decrease(2)
-    q.decrease(2)
+    q.decrease([2, 2])
     assert q.pop_min() == (2, 3)
     assert q.pop_min() == (1, 5)
+
+
+def test_bucket_queue_decrease_counts_duplicates():
+    q = BucketQueue([3, 3, 3])
+    q.decrease([1, 2, 1])
+    assert q.pop_min() == (1, 1)
+    assert q.pop_min() == (2, 2)
+    assert q.pop_min() == (0, 3)
+
+
+def test_bucket_queue_decrease_skips_popped_items():
+    q = BucketQueue([1, 2, 2])
+    assert q.pop_min() == (0, 1)
+    q.decrease([0, 2, 0])
+    assert len(q) == 2
+    assert q.pop_min() == (2, 1)
+    assert q.pop_min() == (1, 2)
+
+
+def test_bucket_queue_decrease_pulls_cursor_back():
+    q = BucketQueue([4, 4, 6])
+    assert q.pop_min() == (0, 4)
+    q.decrease([2, 2, 2, 2, 2])
+    assert q.pop_min() == (2, 1)
+    assert q.pop_min() == (1, 4)
+    with pytest.raises(ValueError):
+        BucketQueue([1]).decrease([0, 0])

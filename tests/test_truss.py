@@ -7,11 +7,12 @@ from hypothesis import given, settings
 import oracles
 from conftest import FIGURE_LEFT_TRUSSNESS
 from test_graph import small_graphs
-from trusslab.gadgets import blowup, complete_graph
+from trusslab.gadgets import blowup, complete_graph, ladder_gadget
 from trusslab.graph import build_graph, degeneracy_order
 from trusslab.sampling import gnp_random_graph
 from trusslab.triangles import compute_supports
 from trusslab.truss import (
+    _peel_from_supports,
     decomposition_from_order,
     is_exact_truss_order,
     max_truss_subgraph,
@@ -87,6 +88,61 @@ def test_suffix_profile_matches_reference():
         for order in (truss_decomposition(g)[1].order, shuffled):
             want = oracles.reference_suffix_support_profile(g, order)
             assert suffix_support_profile(g, order) == want, (i, order)
+
+
+def _hub_graph(n: int, p: float, seed: int):
+    """A star on node 0 plus random chords, with edge ids in shuffled order
+    so that id order and node order disagree."""
+    rng = random.Random(seed)
+    edges = [(0, v) for v in range(1, n)]
+    edges += [(u, v) for u in range(1, n) for v in range(u + 1, n) if rng.random() < p]
+    rng.shuffle(edges)
+    return build_graph(edges)
+
+
+def _peel_oracle_graphs():
+    graphs = []
+    for i in range(24):
+        g = gnp_random_graph(7 + i % 8, (0.3, 0.5, 0.8)[i % 3], 1200 + i)
+        if i % 2:
+            pairs = list(g.edges())
+            random.Random(i).shuffle(pairs)
+            g = build_graph(pairs)
+        graphs.append(g)
+    graphs += [_hub_graph(8 + i, (0.2, 0.35)[i % 2], 1300 + i) for i in range(12)]
+    graphs += [
+        blowup(complete_graph(4), 2).materialize(),
+        ladder_gadget(5),
+        complete_graph(6),
+    ]
+    return graphs
+
+
+def test_peel_matches_reference():
+    """Shrinking-map peel with batched decrements against the peel with a
+    removed-edge array and single decrements: same trussness, order and
+    removal-time supports, (support, id) tie-breaks included."""
+    for i, g in enumerate(_peel_oracle_graphs()):
+        supports = compute_supports(g)
+        want = oracles.reference_peel_from_supports(g, supports)
+        assert _peel_from_supports(g, supports) == want, i
+        assert truss_decomposition(g) == want, i
+
+
+def test_supports_and_peel_need_no_degeneracy_order(monkeypatch):
+    import trusslab.graph
+    import trusslab.triangles
+    import trusslab.truss
+
+    def forbidden(g):
+        raise AssertionError("degeneracy_order called")
+
+    for module in (trusslab.graph, trusslab.triangles, trusslab.truss):
+        monkeypatch.setattr(module, "degeneracy_order", forbidden)
+    g = gnp_random_graph(12, 0.5, 7)
+    supports = compute_supports(g)
+    assert supports.support == oracles.brute_supports(g)
+    assert truss_decomposition(g) == oracles.reference_peel_from_supports(g, supports)
 
 
 @settings(max_examples=60)
