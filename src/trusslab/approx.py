@@ -47,7 +47,6 @@ class ApproxTrussOrder:
 
     order: list[int]
     forward_degrees: list[int]
-    certified_epsilon: float
     sample: HypergraphSample
 
     @property
@@ -55,9 +54,7 @@ class ApproxTrussOrder:
         return max(self.forward_degrees, default=0)
 
 
-def hypergraph_degeneracy_order(
-    sample: HypergraphSample, certified_epsilon: float = 0.0
-) -> ApproxTrussOrder:
+def hypergraph_degeneracy_order(sample: HypergraphSample) -> ApproxTrussOrder:
     """Peel the 3-uniform sample by minimum degree, ties by vertex id.
 
     Removing a vertex deletes its incident hyperedges, decrementing the two
@@ -91,7 +88,7 @@ def hypergraph_degeneracy_order(
                 live[idx] = False
                 batch.extend(hyperedges[idx])
         queue.decrease(batch)
-    return ApproxTrussOrder(order, forward, certified_epsilon, sample)
+    return ApproxTrussOrder(order, forward, sample)
 
 
 def approx_truss_order(g: Graph, cfg: SamplerConfig) -> ApproxTrussOrder:
@@ -103,7 +100,7 @@ def approx_truss_order(g: Graph, cfg: SamplerConfig) -> ApproxTrussOrder:
     """
     info = degeneracy_order(g)
     sample = sample_hypergraph(g, info, cfg)
-    return hypergraph_degeneracy_order(sample, cfg.epsilon)
+    return hypergraph_degeneracy_order(sample)
 
 
 def approx_order_holds(g: Graph, order: Sequence[int], epsilon: float) -> bool:
@@ -177,7 +174,7 @@ def _round_order(g: Graph, eps: float, zeta: float, seed: int) -> tuple[list[int
     sample = sample_hypergraph(g, degeneracy_order(g), cfg)
     if sample.fell_back_to_exact:
         return None, True
-    return hypergraph_degeneracy_order(sample, eps).order, False
+    return hypergraph_degeneracy_order(sample).order, False
 
 
 def _ceil_fraction(value: Fraction) -> int:

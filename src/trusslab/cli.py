@@ -19,14 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterator, Sequence
 
-from .approx import (
-    EstimateResult,
-    estimate_trussness,
-    threshold_rounds,
-)
+from .approx import estimate_trussness, threshold_estimate, threshold_rounds
 from .gadgets import add_spurious_cliques, bipartite_apex, blowup, ladder_gadget
 from .graph import Graph, degeneracy_order, forward_wedge_count
-from .io import EdgeListError, load_graph, write_edge_list
+from .io import load_graph, write_edge_list
 from .sampling import SamplerConfig, gnp_random_graph, sample_hypergraph
 from .triangles import compute_supports, list_triangles
 from .truss import _peel_from_supports, truss_decomposition
@@ -105,9 +101,12 @@ def _probability(text: str) -> float:
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok]
+        values = [float(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad float list: {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty float list: {text!r}")
+    return values
 
 
 def _seed_list(text: str) -> list[int]:
@@ -115,10 +114,14 @@ def _seed_list(text: str) -> list[int]:
     try:
         if ":" in text:
             lo, hi = text.split(":")
-            return list(range(int(lo), int(hi)))
-        return [int(tok) for tok in text.split(",") if tok]
+            seeds = list(range(int(lo), int(hi)))
+        else:
+            seeds = [int(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad seed range: {text!r}") from None
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range: {text!r}")
+    return seeds
 
 
 def _add_input(parser: argparse.ArgumentParser) -> None:
@@ -360,7 +363,6 @@ BENCH_COLUMNS = [
     "ratio",
     "within",
     "fell_back",
-    "reused",
     "seconds",
 ]
 
@@ -384,10 +386,10 @@ def _corpus_paths(source: str) -> list[str]:
     raise FileNotFoundError(f"corpus {source} not found")
 
 
-def _ratio_text(estimate: Fraction, exact: int) -> str:
+def _ratio(estimate: Fraction, exact: int) -> float:
     if exact > 0:
-        return f"{float(estimate) / exact:.10g}"
-    return "1" if estimate == 0 else "inf"
+        return float(estimate) / exact
+    return 1.0 if estimate == 0 else math.inf
 
 
 def _within(estimate: Fraction, exact: int, epsilon: float) -> bool:
@@ -413,104 +415,64 @@ def _bench_rows_for_graph(
     timing: bool,
 ) -> list[list[str]]:
     rows: list[list[str]] = []
-    base = [bg.name]
 
-    def row(kind, estimator, eps, zeta, seed, estimate, within, fell_back, reused, secs):
+    def row(kind, estimator, *, eps=None, zeta=None, seed=None, estimate=None,
+            ratio=None, within=None, fell_back=None, secs=None):
+        # Numeric specs print a bool flag as 1 or 0.
+        def text(value, spec=""):
+            return "" if value is None else format(value, spec)
+
         rows.append(
             [
                 kind,
-                *base,
+                bg.name,
                 estimator,
-                "" if eps is None else f"{eps:g}",
-                "" if zeta is None else f"{zeta:g}",
-                "" if seed is None else str(seed),
+                text(eps, "g"),
+                text(zeta, "g"),
+                text(seed),
                 str(bg.graph.n),
                 str(bg.graph.m),
                 str(bg.triangles),
                 str(bg.trussness),
-                "" if estimate is None else str(estimate),
-                "" if estimate is None else _ratio_text(estimate, bg.trussness),
-                "" if within is None else ("1" if within else "0"),
-                "" if fell_back is None else ("1" if fell_back else "0"),
-                "" if reused is None else ("1" if reused else "0"),
-                f"{secs:.6f}" if timing else "0",
+                text(estimate),
+                text(ratio, ".10g"),
+                text(within, ".10g"),
+                text(fell_back, "d"),
+                "" if secs is None else (f"{secs:.6f}" if timing else "0"),
             ]
         )
 
+    cells: list[tuple[str, float | None, Fraction, float]] = []
     if "exact" in estimators:
-        est = Fraction(bg.trussness)
-        row("run", "exact", None, None, None, est, True, None, None, bg.exact_seconds)
-        row("summary", "exact", None, None, None, est, True, None, None, bg.exact_seconds)
+        cells.append(("exact", None, Fraction(bg.trussness), bg.exact_seconds))
     if "threshold" in estimators:
         for eps in epsilons:
             start = time.perf_counter()
-            bounds = threshold_rounds(bg.graph, eps)
-            secs = time.perf_counter() - start
-            est = max((r.density for r in bounds), default=Fraction(0))
-            within = _within(est, bg.trussness, eps)
-            row("run", "threshold", eps, None, None, est, within, None, None, secs)
-            row("summary", "threshold", eps, None, None, est, within, None, None, secs)
+            est = threshold_estimate(bg.graph, eps)
+            cells.append(("threshold", eps, est, time.perf_counter() - start))
+    for estimator, eps, est, secs in cells:
+        within = eps is None or _within(est, bg.trussness, eps)
+        for kind in ("run", "summary"):
+            row(kind, estimator, eps=eps, estimate=est, ratio=_ratio(est, bg.trussness),
+                within=within, secs=secs)
     if "approx" in estimators:
         for eps in epsilons:
             for zeta in zetas:
-                cell_results: list[tuple[EstimateResult, bool, float]] = []
-                cached: EstimateResult | None = None
+                ratios: list[float] = []
+                hits = 0
                 for seed in seeds:
-                    if cached is not None:
-                        cell_results.append((cached, True, 0.0))
-                        continue
                     start = time.perf_counter()
                     result = estimate_trussness(bg.graph, eps, zeta=zeta, seed=seed)
                     secs = time.perf_counter() - start
-                    cell_results.append((result, False, secs))
-                    if result.all_rounds_fell_back:
-                        # Provably seed-independent: every round used the
-                        # exact-enumeration fallback, so later seeds would
-                        # recompute the identical result.
-                        cached = result
-                ratios: list[float] = []
-                hits = 0
-                for seed, (result, reused, secs) in zip(seeds, cell_results):
+                    ratio = _ratio(result.estimate, bg.trussness)
                     within = _within(result.estimate, bg.trussness, eps)
+                    ratios.append(ratio)
                     hits += within
-                    if bg.trussness > 0:
-                        ratios.append(float(result.estimate) / bg.trussness)
-                    else:
-                        ratios.append(1.0 if result.estimate == 0 else math.inf)
-                    row(
-                        "run",
-                        "approx",
-                        eps,
-                        zeta,
-                        seed,
-                        result.estimate,
-                        within,
-                        result.all_rounds_fell_back,
-                        reused,
-                        secs,
-                    )
-                mean_ratio = sum(ratios) / len(ratios) if ratios else 0.0
-                frac = hits / len(seeds) if seeds else 0.0
-                rows.append(
-                    [
-                        "summary",
-                        bg.name,
-                        "approx",
-                        f"{eps:g}",
-                        f"{zeta:g}",
-                        "",
-                        str(bg.graph.n),
-                        str(bg.graph.m),
-                        str(bg.triangles),
-                        str(bg.trussness),
-                        "",
-                        f"{mean_ratio:.10g}",
-                        f"{frac:.10g}",
-                        "",
-                        "",
-                        "",
-                    ]
-                )
+                    row("run", "approx", eps=eps, zeta=zeta, seed=seed, estimate=result.estimate,
+                        ratio=ratio, within=within, fell_back=result.all_rounds_fell_back,
+                        secs=secs)
+                row("summary", "approx", eps=eps, zeta=zeta, ratio=sum(ratios) / len(ratios),
+                    within=hits / len(seeds))
     return rows
 
 
@@ -674,16 +636,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except EdgeListError as exc:
-        print(f"trusslab: error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"trusslab: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"trusslab: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"trusslab: error: {exc}", file=sys.stderr)
         return 1
 

@@ -249,7 +249,7 @@ def reference_round_order(g: Graph, eps: float, zeta: float, seed: int) -> tuple
                 cfg = SamplerConfig(epsilon=eps, zeta=zeta, seed=seed)
                 sample = sample_hypergraph(g, info, cfg)
                 if not sample.fell_back_to_exact:
-                    return hypergraph_degeneracy_order(sample, eps).order, False
+                    return hypergraph_degeneracy_order(sample).order, False
     return _peel_from_supports(g, supports)[1].order, True
 
 

@@ -295,3 +295,52 @@ def test_bench_exact_computes_supports_once_per_graph(tmp_path, capsys, monkeypa
     assert code == 0
     assert calls == [10]
     assert any(l.startswith("run,k5,exact") for l in out.splitlines())
+
+
+def test_bench_runs_every_seed(tmp_path, capsys, monkeypatch):
+    import trusslab.cli as cli
+
+    d = tmp_path / "corpus"
+    d.mkdir()
+    (d / "k5.edges").write_text(k5_text())
+    calls = []
+    real = cli.estimate_trussness
+
+    def counting(g, epsilon, **kwargs):
+        calls.append(kwargs["seed"])
+        return real(g, epsilon, **kwargs)
+
+    monkeypatch.setattr(cli, "estimate_trussness", counting)
+    code, out, _ = run_cli(
+        capsys, "bench", "--corpus", str(d), "--estimators", "approx",
+        "--zetas", "110", "--seeds", "0:3", "--no-timing",
+    )
+    assert code == 0
+    assert calls == [0, 1, 2]
+    lines = out.splitlines()
+    header = lines[0].split(",")
+    assert "reused" not in header
+    runs = [dict(zip(header, l.split(","))) for l in lines if l.startswith("run,")]
+    assert [r["fell_back"] for r in runs] == ["1", "1", "1"]
+
+
+@pytest.mark.parametrize("grid", [["--seeds", "3:1"], ["--epsilons", ""]])
+def test_bench_empty_grid_is_usage_error(tmp_path, capsys, grid):
+    corpus = bench_corpus(tmp_path)
+    code, out, err = run_cli(capsys, "bench", "--corpus", corpus, *grid)
+    assert code == 2
+    assert out == ""
+    assert "empty" in err
+
+
+def test_directory_input_is_io_error(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "truss", "exact", str(tmp_path))
+    assert code == 1
+    assert err.startswith("trusslab: error:")
+
+
+def test_bench_unknown_estimator_is_data_error(tmp_path, capsys):
+    corpus = bench_corpus(tmp_path)
+    code, _, err = run_cli(capsys, "bench", "--corpus", corpus, "--estimators", "bogus")
+    assert code == 1
+    assert "trusslab: error: unknown estimator" in err

@@ -1,7 +1,8 @@
 """CLI stdout on fixed small graphs, byte for byte.
 
 The expected files under ``tests/golden`` were captured from the CLI before
-the graph core moved to per-node edge-id maps.  Regenerate them only for a
+the graph core moved to per-node edge-id maps; ``bench.out`` was recaptured
+when the bench CSV dropped its ``reused`` column.  Regenerate them only for a
 deliberate change of output:
 
     PYTHONPATH=src python tests/test_golden.py
