@@ -17,7 +17,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterator, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 from .approx import estimate_trussness, threshold_estimate, threshold_rounds
 from .gadgets import add_spurious_cliques, bipartite_apex, blowup, ladder_gadget
@@ -99,14 +99,16 @@ def _probability(text: str) -> float:
     return value
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        values = [float(tok) for tok in text.split(",") if tok]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad float list: {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError(f"empty float list: {text!r}")
-    return values
+def _float_list(item: Callable[[str], float]) -> Callable[[str], list[float]]:
+    """A parser of comma lists whose values each pass ``item``."""
+
+    def parse(text: str) -> list[float]:
+        values = [item(tok) for tok in text.split(",") if tok]
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty float list: {text!r}")
+        return values
+
+    return parse
 
 
 def _seed_list(text: str) -> list[int]:
@@ -619,8 +621,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.add_argument("--corpus", required=True, help="directory of .edges files or a manifest")
     p.add_argument("--estimators", default="exact,approx,threshold")
-    p.add_argument("--epsilons", type=_float_list, default=[0.3])
-    p.add_argument("--zetas", type=_float_list, default=[110.0])
+    p.add_argument("--epsilons", type=_float_list(_unit_open_interval), default=[0.3])
+    p.add_argument("--zetas", type=_float_list(_positive_float), default=[110.0])
     p.add_argument("--seeds", type=_seed_list, default=[0])
     p.add_argument("--no-timing", action="store_true", help="zero the seconds column")
     p.set_defaults(func=cmd_bench)

@@ -66,12 +66,26 @@ def geometric_skip(p: float, rng: random.Random) -> int:
     """
     if not (0.0 < p <= 1.0):
         raise ValueError(f"p must be in (0, 1], got {p}")
+    return next(_skips(p, rng))
+
+
+def _skips(p: float, rng: random.Random) -> Iterator[int]:
+    """Endless Geometric(p) skips, one ``rng.random()`` per skip (redrawn
+    if 0); p = 1 steps by 1 without drawing.
+
+    log1p(-p) is taken once, and p is not checked: callers pass 0 < p <= 1.
+    """
     if p == 1.0:
-        return 1
-    u = rng.random()
-    while u <= 0.0:
-        u = rng.random()
-    return max(1, math.ceil(math.log(u) / math.log1p(-p)))
+        while True:
+            yield 1
+    draw, log, ceil = rng.random, math.log, math.ceil
+    lq = math.log1p(-p)
+    while True:
+        u = draw()
+        while u <= 0.0:
+            u = draw()
+        step = ceil(log(u) / lq)
+        yield step if step > 1 else 1
 
 
 class _WedgeSpace:
@@ -81,58 +95,48 @@ class _WedgeSpace:
     forward neighbors are sorted by position and pairs enumerated in
     lexicographic index order.  This gives every wedge a fixed serial number,
     so a geometric skip sequence selects a reproducible wedge subset.
+    A probe finds its wedge in O(1): ``_skip_pass`` walks the rows in serial
+    order and computes each pair from its offset within the row.
     """
 
-    __slots__ = ("g", "rows", "starts", "total")
+    __slots__ = ("g", "rows")
 
     def __init__(self, g: Graph, info: DegeneracyInfo):
         self.g = g
         self.rows = list(forward_rows(g, info.order, info.positions))
-        self.starts: list[int] = []
-        total = 0
-        for _, later, _ in self.rows:
-            self.starts.append(total)
-            total += len(later) * (len(later) - 1) // 2
-        self.total = total
 
     def iter_closed(self) -> Iterator[tuple[int, int, int]]:
         """All closed wedges, i.e. every triangle once, in serial order."""
         for _, _, _, x, y, z in forward_triangles(self.g, self.rows):
             yield sorted3(x, y, z)
 
-    def closed_at(self, serial: int, cursor: int) -> tuple[tuple[int, int, int] | None, int]:
-        """Wedge at a serial number, or None if open.
-
-        ``cursor`` is the caller's last center index; serials are probed in
-        increasing order, so the center scan resumes instead of restarting.
-        """
-        starts = self.starts
-        while cursor + 1 < len(starts) and starts[cursor + 1] <= serial:
-            cursor += 1
-        _, later, ids = self.rows[cursor]
-        local = serial - starts[cursor]
-        row = len(later) - 1
-        i = 0
-        while local >= row:
-            local -= row
-            i += 1
-            row -= 1
-        j = i + 1 + local
-        closing = self.g.neighbors(later[i]).get(later[j])
-        if closing is None:
-            return None, cursor
-        return sorted3(ids[i], ids[j], closing), cursor
-
 
 def _skip_pass(space: _WedgeSpace, p: float, rng: random.Random) -> list[tuple[int, int, int]]:
+    """The closed wedges among those a geometric skip sequence selects.
+
+    ``gap`` is the offset of the next probed wedge from the start of the
+    current row.  A row of L later neighbors holds L(L-1)/2 pairs; counted
+    back from its end, the pairs of index i = L-2-k are offsets
+    k(k+1)/2 .. k(k+1)/2 + k, so k and then j follow from one isqrt.
+    Each probe costs O(1), and each pass O(rows + probes).
+    """
     out: list[tuple[int, int, int]] = []
-    serial = geometric_skip(p, rng) - 1
-    cursor = 0
-    while serial < space.total:
-        hyper, cursor = space.closed_at(serial, cursor)
-        if hyper is not None:
-            out.append(hyper)
-        serial += geometric_skip(p, rng)
+    keep, adj, isqrt = out.append, space.g.neighbors, math.isqrt
+    skip = _skips(p, rng).__next__
+    gap = skip() - 1
+    for _, later, ids in space.rows:
+        last = len(later) - 1
+        size = last * (last + 1) // 2
+        while gap < size:
+            back = size - 1 - gap
+            k = (isqrt(8 * back + 1) - 1) // 2
+            i = last - 1 - k
+            j = last - back + k * (k + 1) // 2
+            closing = adj(later[i]).get(later[j])
+            if closing is not None:
+                keep(sorted3(ids[i], ids[j], closing))
+            gap += skip()
+        gap -= size
     return out
 
 
@@ -207,8 +211,8 @@ def gnp_random_graph(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p) via the same geometric-skip machinery.
 
     Pairs (i, j), i < j, are serialized lexicographically and visited by
-    skips, so the cost is proportional to the number of edges produced.
-    Deterministic per seed.
+    the skips of ``_skips``, so the cost is proportional to the number of
+    edges produced; p = 1 visits every pair.  Deterministic per seed.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -216,22 +220,18 @@ def gnp_random_graph(n: int, p: float, seed: int) -> Graph:
         raise ValueError(f"p must be in [0, 1], got {p}")
     if n < 2 or p == 0.0:
         return build_graph([], node_count=n)
-    if p == 1.0:
-        return build_graph(
-            [(i, j) for i in range(n) for j in range(i + 1, n)], node_count=n
-        )
-    rng = random.Random(seed)
+    skip = _skips(p, random.Random(seed)).__next__
     total = n * (n - 1) // 2
     edges: list[tuple[int, int]] = []
     row = 0
     row_start = 0
     row_len = n - 1
-    serial = geometric_skip(p, rng) - 1
+    serial = skip() - 1
     while serial < total:
         while serial >= row_start + row_len:
             row_start += row_len
             row += 1
             row_len -= 1
         edges.append((row, row + 1 + (serial - row_start)))
-        serial += geometric_skip(p, rng)
+        serial += skip()
     return build_graph(edges, node_count=n)

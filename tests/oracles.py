@@ -5,7 +5,8 @@ subset sweeps, naive fixed points) without touching the peeling/sampling code
 paths under test, so expected values stay honest.  The exceptions are the
 reference slow paths kept to check fast ones against: the peel with a
 removed-edge array and one heap push per decrement, the quadratic suffix
-replay, and the marker estimator that materialises every round.
+replay, the marker estimator that materialises every round, the skip pass
+that scans for each probed wedge, and G(n, p) drawn skip by skip.
 """
 
 from __future__ import annotations
@@ -23,12 +24,14 @@ from trusslab.gadgets import add_spurious_cliques, blowup, complete_graph, disjo
 from trusslab.graph import Graph, degeneracy_order, forward_wedge_count
 from trusslab.sampling import (
     SamplerConfig,
+    _WedgeSpace,
     effective_epsilon,
+    geometric_skip,
     initial_probability,
     sample_hypergraph,
     sample_size_target,
 )
-from trusslab.triangles import SupportTable, compute_supports
+from trusslab.triangles import SupportTable, compute_supports, sorted3
 from trusslab.truss import EdgeOrder, TrussDecomposition, _peel_from_supports
 
 
@@ -303,3 +306,53 @@ def reference_estimate_trussness(
     if first == last:
         return EstimateResult(Fraction(first), True, len(trace), trace, all_fell_back)
     return EstimateResult(Fraction(t_tilde, 6), False, len(trace), trace, all_fell_back)
+
+
+def reference_skip_pass(
+    space: _WedgeSpace, p: float, rng: random.Random
+) -> list[tuple[int, int, int]]:
+    """The skip pass that locates each probed wedge serial by scanning.
+
+    Numbers the wedges through per-center start serials, draws every skip
+    with ``geometric_skip``, moves a center cursor forward to each serial
+    and finds the pair (i, j) by walking the rows of the center's pairs one
+    i at a time.
+    """
+    starts: list[int] = []
+    total = 0
+    for _, later, _ in space.rows:
+        starts.append(total)
+        total += len(later) * (len(later) - 1) // 2
+    out: list[tuple[int, int, int]] = []
+    serial = geometric_skip(p, rng) - 1
+    cursor = 0
+    while serial < total:
+        while cursor + 1 < len(starts) and starts[cursor + 1] <= serial:
+            cursor += 1
+        _, later, ids = space.rows[cursor]
+        local = serial - starts[cursor]
+        row = len(later) - 1
+        i = 0
+        while local >= row:
+            local -= row
+            i += 1
+            row -= 1
+        j = i + 1 + local
+        closing = space.g.neighbors(later[i]).get(later[j])
+        if closing is not None:
+            out.append(sorted3(ids[i], ids[j], closing))
+        serial += geometric_skip(p, rng)
+    return out
+
+
+def reference_gnp_edges(n: int, p: float, seed: int) -> list[tuple[int, int]]:
+    """G(n, p) edges: the pairs i < j in lexicographic order, visited by
+    one ``geometric_skip`` draw per step."""
+    pairs = list(combinations(range(n), 2))
+    rng = random.Random(seed)
+    out: list[tuple[int, int]] = []
+    serial = geometric_skip(p, rng) - 1
+    while serial < len(pairs):
+        out.append(pairs[serial])
+        serial += geometric_skip(p, rng)
+    return out

@@ -333,6 +333,22 @@ def test_bench_empty_grid_is_usage_error(tmp_path, capsys, grid):
     assert "empty" in err
 
 
+def test_bench_epsilon_out_of_range_is_usage_error(tmp_path, capsys):
+    corpus = bench_corpus(tmp_path)
+    code, out, err = run_cli(capsys, "bench", "--corpus", corpus, "--epsilons", "0.3,1.5")
+    assert code == 2
+    assert out == ""
+    assert "must be in (0, 1), got 1.5" in err
+
+
+def test_bench_zeta_out_of_range_is_usage_error(tmp_path, capsys):
+    corpus = bench_corpus(tmp_path)
+    code, out, err = run_cli(capsys, "bench", "--corpus", corpus, "--zetas", "110,0")
+    assert code == 2
+    assert out == ""
+    assert "must be positive, got 0" in err
+
+
 def test_directory_input_is_io_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "truss", "exact", str(tmp_path))
     assert code == 1

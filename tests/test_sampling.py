@@ -1,16 +1,20 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from trusslab.gadgets import bipartite_apex, complete_graph
+from trusslab import sampling
+from trusslab.gadgets import bipartite_apex, blowup, complete_graph
 from trusslab.graph import build_graph, degeneracy_order, forward_wedge_count
 from trusslab.sampling import (
     HypergraphSample,
     SamplerConfig,
+    _skip_pass,
+    _WedgeSpace,
     effective_epsilon,
     fallback_certain,
     geometric_skip,
@@ -80,8 +84,8 @@ def test_fixed_tiny_p_is_empty():
 def test_fixed_p_rejects_out_of_range():
     g = complete_graph(4)
     info = degeneracy_order(g)
-    for p in (0.0, 1.2):
-        with pytest.raises(ValueError):
+    for p in (0.0, 1.2, -0.1, math.nan):
+        with pytest.raises(ValueError, match="p must be in"):
             sample_wedges_fixed_p(g, info, p, 0)
 
 
@@ -112,6 +116,57 @@ def test_hyperedges_overlap_in_at_most_one_vertex():
     for i in range(len(edges)):
         for j in range(i + 1, len(edges)):
             assert len(set(edges[i]) & set(edges[j])) <= 1
+
+
+# ----------------------------------------------------------- pass oracle ----
+
+
+def _gnm(n: int, m: int, seed: int):
+    pairs = list(combinations(range(n), 2))
+    return build_graph(random.Random(seed).sample(pairs, m), node_count=n)
+
+
+def _star_with_chords(n: int, p: float, seed: int):
+    """A star on node 0 plus sparse chords: most nodes have fewer than two
+    later neighbors and center no wedge."""
+    rng = random.Random(seed)
+    edges = [(0, v) for v in range(1, n)]
+    edges += [(u, v) for u, v in combinations(range(1, n), 2) if rng.random() < p]
+    return build_graph(edges)
+
+
+def test_skip_pass_matches_reference():
+    """Row walk with closed-form pairs against the pass that scans for each
+    serial: equal samples, and equal RNG states after the pass, so the next
+    pass of the doubling loop draws the same numbers too."""
+    star = _star_with_chords(40, 0.02, 4)
+    assert len(_WedgeSpace(star, degeneracy_order(star)).rows) < star.n // 2
+    graphs = [_gnm(30, 60, 1), _gnm(30, 200, 2), _gnm(30, 400, 3), star,
+              complete_graph(8), blowup(complete_graph(4), 2).materialize()]
+    for gi, g in enumerate(graphs):
+        space = _WedgeSpace(g, degeneracy_order(g))
+        for p in (1e-4, 0.05, 0.3, 0.9, 1.0):
+            for seed in range(3):
+                rng, ref = random.Random(seed), random.Random(seed)
+                want = oracles.reference_skip_pass(space, p, ref)
+                assert _skip_pass(space, p, rng) == want, (gi, p, seed)
+                assert rng.getstate() == ref.getstate(), (gi, p, seed)
+
+
+def test_doubling_loop_matches_reference_pass(monkeypatch):
+    g = _gnm(120, 3000, 7)
+    info = degeneracy_order(g)
+    cfg = SamplerConfig(epsilon=0.5, zeta=0.05, seed=9)
+    got = sample_hypergraph(g, info, cfg)
+    passes = []
+
+    def reference(space, p, rng):
+        passes.append(p)
+        return oracles.reference_skip_pass(space, p, rng)
+
+    monkeypatch.setattr(sampling, "_skip_pass", reference)
+    assert sample_hypergraph(g, info, cfg) == got
+    assert len(passes) >= 2 and not got.fell_back_to_exact
 
 
 # -------------------------------------------------------- doubling loop ----
@@ -218,6 +273,14 @@ def test_gnp_extremes():
     assert gnp_random_graph(6, 0.0, 3).n == 6
     full = gnp_random_graph(6, 1.0, 3)
     assert full.m == 15
+
+
+def test_gnp_matches_reference_skip_loop():
+    cases = [(2, 0.25), (10, 0.5), (25, 0.1), (40, 0.7), (30, 0.02), (12, 1.0)]
+    for n, p in cases:
+        for seed in range(4):
+            want = oracles.reference_gnp_edges(n, p, seed)
+            assert list(gnp_random_graph(n, p, seed).edges()) == want, (n, p, seed)
 
 
 def test_gnp_determinism():
