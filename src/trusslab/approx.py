@@ -220,8 +220,8 @@ def estimate_trussness(
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    if zeta <= 0.0:
-        raise ValueError(f"zeta must be positive, got {zeta}")
+    if not (0.0 < zeta < math.inf):
+        raise ValueError(f"zeta must be finite and positive, got {zeta}")
 
     eps_exact = Fraction(str(epsilon))
     eps_prime = eps_exact / 6
@@ -298,8 +298,8 @@ def threshold_rounds(g: Graph, epsilon: float) -> list[ThresholdRound]:
     supports sum to 3*T_i, at most a 3/c fraction of edges survives, so the
     loop ends after O(log m) rounds.
     """
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not (0.0 < epsilon < math.inf):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     c = 3 + Fraction(str(epsilon))
     rounds: list[ThresholdRound] = []
     node_count = g.n

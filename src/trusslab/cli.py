@@ -84,8 +84,10 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if value <= 0.0:
+    if not (value > 0.0):
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if value == math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     return value
 
 

@@ -19,12 +19,12 @@ def complete_graph(k: int) -> Graph:
 
 
 class BlowupView:
-    """Implicit q-fold balanced blow-up of a base graph.
+    """Balanced q-fold blow-up of a base graph; ``materialize`` builds it.
 
-    Copy ``i`` of base node ``u`` is encoded as ``u*q + i`` (0 <= i < q), so
-    all navigation is O(1) arithmetic on the base graph: two blown nodes are
-    adjacent iff their base nodes are.  The q^2-scaled edge set is never
-    stored; ``materialize`` builds it explicitly for small inputs.
+    Copy ``i`` of base node ``u`` is node ``u*q + i`` (0 <= i < q), and two
+    copies are adjacent iff their base nodes are.  Edge ``base_id*q^2 +
+    i*q + j`` of the built graph joins copy i of the base edge's lower end
+    to copy j of its upper end, so ``eid // q^2`` names the base edge.
 
     Blowing up multiplies trussness by q and the triangle count by q^3.
     """
@@ -47,18 +47,8 @@ class BlowupView:
                 for j in range(q):
                     yield (a, v * q + j)
 
-    def has_edge(self, x: int, y: int) -> bool:
-        return self.base.has_edge(x // self.q, y // self.q)
-
-    def neighbors(self, x: int) -> list[int]:
-        q = self.q
-        return [v * q + j for v in self.base.neighbors(x // q) for j in range(q)]
-
-    def degree(self, x: int) -> int:
-        return self.base.degree(x // self.q) * self.q
-
     def materialize(self, max_edges: int = 10_000_000) -> Graph:
-        """Explicit copy; edge ids are base_id * q^2 + i * q + j."""
+        """The explicit graph; refuses one of more than ``max_edges`` edges."""
         if self.m > max_edges:
             raise ValueError(f"refusing to materialize {self.m} edges (cap {max_edges})")
         return build_graph(self.edges(), node_count=self.n)

@@ -4,26 +4,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator, Protocol
-
-
-class GraphView(Protocol):
-    """Navigation contract shared by concrete graphs and implicit gadget views.
-
-    The four operations must be mutually consistent: ``degree(u)`` equals the
-    length of ``neighbors(u)``, ``has_edge(u, v)`` agrees with membership of
-    ``v`` in ``neighbors(u)``, and ``edges()`` lists each edge once.
-    """
-
-    n: int
-
-    def edges(self) -> Iterator[tuple[int, int]]: ...
-
-    def has_edge(self, u: int, v: int) -> bool: ...
-
-    def neighbors(self, u: int) -> Collection[int]: ...
-
-    def degree(self, u: int) -> int: ...
+from typing import Iterable, Iterator
 
 
 class Graph:
@@ -204,7 +185,7 @@ class DegeneracyInfo:
     positions: list[int]
 
 
-def degeneracy_order(g: GraphView) -> DegeneracyInfo:
+def degeneracy_order(g: Graph) -> DegeneracyInfo:
     """Peel nodes by minimum residual degree, ties by smallest node id."""
     n = g.n
     queue = BucketQueue(g.degree(u) for u in range(n))
@@ -223,7 +204,7 @@ def degeneracy_order(g: GraphView) -> DegeneracyInfo:
     return DegeneracyInfo(order, degeneracy, forward, positions)
 
 
-def forward_wedge_count(g: GraphView, info: DegeneracyInfo) -> int:
+def forward_wedge_count(g: Graph, info: DegeneracyInfo) -> int:
     """Number of wedges whose center precedes both endpoints in the order.
 
     Each forward degree d contributes d*(d-1)/2 wedges; every triangle of the

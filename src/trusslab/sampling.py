@@ -14,10 +14,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator
 
 from .graph import DegeneracyInfo, Graph, build_graph, forward_wedge_count
-from .triangles import forward_rows, forward_triangles, sorted3
+from .triangles import ForwardRow, forward_rows, forward_triangles, sorted3
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,8 @@ class SamplerConfig:
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if self.zeta <= 0.0:
-            raise ValueError(f"zeta must be positive, got {self.zeta}")
+        if not (0.0 < self.zeta < math.inf):
+            raise ValueError(f"zeta must be finite and positive, got {self.zeta}")
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,10 @@ class HypergraphSample:
     rng_seed: int
 
 
+# ln of the least positive value ``random.Random.random`` returns
+_LN_LEAST_U = math.log(2.0**-53)
+
+
 def geometric_skip(p: float, rng: random.Random) -> int:
     """Geometric(p) variate on {1, 2, ...}: trials until the first success.
 
@@ -74,12 +79,22 @@ def _skips(p: float, rng: random.Random) -> Iterator[int]:
     if 0); p = 1 steps by 1 without drawing.
 
     log1p(-p) is taken once, and p is not checked: callers pass 0 < p <= 1.
+    Below p ~ 2e-307, subnormal p included, ln U / ln(1-p) can overflow a
+    float, so the ceil is taken exactly; every such skip exceeds 10^290 and
+    a pass keeps nothing.
     """
     if p == 1.0:
         while True:
             yield 1
     draw, log, ceil = rng.random, math.log, math.ceil
     lq = math.log1p(-p)
+    if math.isinf(_LN_LEAST_U / lq):
+        exact = Fraction(lq)
+        while True:
+            u = draw()
+            while u <= 0.0:
+                u = draw()
+            yield ceil(Fraction(log(u)) / exact)
     while True:
         u = draw()
         while u <= 0.0:
@@ -88,31 +103,14 @@ def _skips(p: float, rng: random.Random) -> Iterator[int]:
         yield step if step > 1 else 1
 
 
-class _WedgeSpace:
-    """Canonical enumeration of the forward wedges of a graph.
-
-    Centers are visited in degeneracy-order position; within a center, its
-    forward neighbors are sorted by position and pairs enumerated in
-    lexicographic index order.  This gives every wedge a fixed serial number,
-    so a geometric skip sequence selects a reproducible wedge subset.
-    A probe finds its wedge in O(1): ``_skip_pass`` walks the rows in serial
-    order and computes each pair from its offset within the row.
-    """
-
-    __slots__ = ("g", "rows")
-
-    def __init__(self, g: Graph, info: DegeneracyInfo):
-        self.g = g
-        self.rows = list(forward_rows(g, info.order, info.positions))
-
-    def iter_closed(self) -> Iterator[tuple[int, int, int]]:
-        """All closed wedges, i.e. every triangle once, in serial order."""
-        for _, _, _, x, y, z in forward_triangles(self.g, self.rows):
-            yield sorted3(x, y, z)
-
-
-def _skip_pass(space: _WedgeSpace, p: float, rng: random.Random) -> list[tuple[int, int, int]]:
+def _skip_pass(
+    g: Graph, rows: list[ForwardRow], p: float, rng: random.Random
+) -> list[tuple[int, int, int]]:
     """The closed wedges among those a geometric skip sequence selects.
+
+    ``rows`` are g's forward rows (``forward_rows``) in degeneracy order.
+    Wedges are numbered row by row, and within a row in lexicographic pair
+    order, so a skip sequence selects a reproducible wedge subset.
 
     ``gap`` is the offset of the next probed wedge from the start of the
     current row.  A row of L later neighbors holds L(L-1)/2 pairs; counted
@@ -121,10 +119,10 @@ def _skip_pass(space: _WedgeSpace, p: float, rng: random.Random) -> list[tuple[i
     Each probe costs O(1), and each pass O(rows + probes).
     """
     out: list[tuple[int, int, int]] = []
-    keep, adj, isqrt = out.append, space.g.neighbors, math.isqrt
+    keep, adj, isqrt = out.append, g.neighbors, math.isqrt
     skip = _skips(p, rng).__next__
     gap = skip() - 1
-    for _, later, ids in space.rows:
+    for _, later, ids in rows:
         last = len(later) - 1
         size = last * (last + 1) // 2
         while gap < size:
@@ -151,9 +149,9 @@ def sample_wedges_fixed_p(
     """
     if not (0.0 < p <= 1.0):
         raise ValueError(f"p must be in (0, 1], got {p}")
-    space = _WedgeSpace(g, info)
+    rows = list(forward_rows(g, info.order, info.positions))
     rng = random.Random(seed)
-    return HypergraphSample(g.m, _skip_pass(space, p, rng), p, False, seed)
+    return HypergraphSample(g.m, _skip_pass(g, rows, p, rng), p, False, seed)
 
 
 def initial_probability(m: int, wedges: int, epsilon: float, zeta: float) -> float:
@@ -190,6 +188,7 @@ def sample_hypergraph(g: Graph, info: DegeneracyInfo, cfg: SamplerConfig) -> Hyp
     sample holds at least 1.5 * zeta * m * log(m) / eps^2 hyperedges.  If p
     reaches 1 first, all triangles are enumerated instead and the fallback
     flag is set.  Identical (graph, config) inputs give identical samples.
+    A zeta so small that the first p underflows to 0 raises ValueError.
     """
     W = forward_wedge_count(g, info)
     if W == 0:
@@ -197,14 +196,17 @@ def sample_hypergraph(g: Graph, info: DegeneracyInfo, cfg: SamplerConfig) -> Hyp
     eps = effective_epsilon(cfg.epsilon, g.n)
     p = initial_probability(g.m, W, eps, cfg.zeta)
     target = sample_size_target(g.m, eps, cfg.zeta)
-    space = _WedgeSpace(g, info)
+    if not (p > 0.0 and target > 0.0):
+        raise ValueError(f"zeta={cfg.zeta} is too small: the first p underflows to 0")
+    rows = list(forward_rows(g, info.order, info.positions))
     rng = random.Random(cfg.seed)
     while p < 1.0:
-        sample = _skip_pass(space, p, rng)
+        sample = _skip_pass(g, rows, p, rng)
         if len(sample) >= target:
             return HypergraphSample(g.m, sample, p, False, cfg.seed)
         p *= 2.0
-    return HypergraphSample(g.m, list(space.iter_closed()), 1.0, True, cfg.seed)
+    everything = [sorted3(x, y, z) for _, _, _, x, y, z in forward_triangles(g, rows)]
+    return HypergraphSample(g.m, everything, 1.0, True, cfg.seed)
 
 
 def gnp_random_graph(n: int, p: float, seed: int) -> Graph:

@@ -3,9 +3,9 @@
 Every triangle is found by one walk over the forward wedges of a node order
 (Chiba & Nishizeki 1985): a triangle's earliest node sees the other two
 among its later neighbors, so it closes exactly one of them.  Supports walk
-the (degree, id) order, which takes one sort; listing and the sampler's
-wedge space walk the degeneracy order, which fixes the listing order and
-the sampler's wedge serials.
+the (degree, id) order, which takes one sort; listing and the sampler
+walk the degeneracy order, which fixes the listing order and the
+sampler's wedge serials.
 """
 
 from __future__ import annotations

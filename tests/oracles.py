@@ -24,14 +24,13 @@ from trusslab.gadgets import add_spurious_cliques, blowup, complete_graph, disjo
 from trusslab.graph import Graph, degeneracy_order, forward_wedge_count
 from trusslab.sampling import (
     SamplerConfig,
-    _WedgeSpace,
     effective_epsilon,
     geometric_skip,
     initial_probability,
     sample_hypergraph,
     sample_size_target,
 )
-from trusslab.triangles import SupportTable, compute_supports, sorted3
+from trusslab.triangles import ForwardRow, SupportTable, compute_supports, sorted3
 from trusslab.truss import EdgeOrder, TrussDecomposition, _peel_from_supports
 
 
@@ -309,7 +308,7 @@ def reference_estimate_trussness(
 
 
 def reference_skip_pass(
-    space: _WedgeSpace, p: float, rng: random.Random
+    g: Graph, rows: list[ForwardRow], p: float, rng: random.Random
 ) -> list[tuple[int, int, int]]:
     """The skip pass that locates each probed wedge serial by scanning.
 
@@ -320,7 +319,7 @@ def reference_skip_pass(
     """
     starts: list[int] = []
     total = 0
-    for _, later, _ in space.rows:
+    for _, later, _ in rows:
         starts.append(total)
         total += len(later) * (len(later) - 1) // 2
     out: list[tuple[int, int, int]] = []
@@ -329,7 +328,7 @@ def reference_skip_pass(
     while serial < total:
         while cursor + 1 < len(starts) and starts[cursor + 1] <= serial:
             cursor += 1
-        _, later, ids = space.rows[cursor]
+        _, later, ids = rows[cursor]
         local = serial - starts[cursor]
         row = len(later) - 1
         i = 0
@@ -338,7 +337,7 @@ def reference_skip_pass(
             i += 1
             row -= 1
         j = i + 1 + local
-        closing = space.g.neighbors(later[i]).get(later[j])
+        closing = g.neighbors(later[i]).get(later[j])
         if closing is not None:
             out.append(sorted3(ids[i], ids[j], closing))
         serial += geometric_skip(p, rng)

@@ -157,6 +157,18 @@ def test_estimate_rejects_bad_epsilon():
         estimate_trussness(g, 0.5, zeta=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_zeta_and_threshold_epsilon_are_rejected(bad):
+    """A NaN zeta once passed a ``zeta <= 0`` check and enumerated every
+    augmented graph's triangles; a NaN or infinite threshold epsilon reached
+    ``Fraction`` and failed there."""
+    g = complete_graph(4)
+    with pytest.raises(ValueError, match="finite"):
+        estimate_trussness(g, 0.5, zeta=bad)
+    with pytest.raises(ValueError, match="finite"):
+        threshold_rounds(g, bad)
+
+
 def test_estimate_triangle_free_is_exact_zero():
     g = build_graph([(0, 1), (1, 2), (2, 3)])
     result = estimate_trussness(g, 0.5)

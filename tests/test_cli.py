@@ -201,6 +201,63 @@ def test_epsilon_validation_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["truss", "threshold", "--epsilon", "nan"],
+        ["truss", "threshold", "--epsilon", "inf"],
+        ["truss", "approx", "--zeta", "nan"],
+        ["truss", "approx", "--zeta", "inf"],
+        ["sample", "--zeta", "nan"],
+    ],
+)
+def test_non_finite_flag_is_usage_error(tmp_path, capsys, argv):
+    path = write_graph(tmp_path, "k3.edges", edge_list_text(complete_graph(3)))
+    code, out, err = run_cli(capsys, *argv, path)
+    assert code == 2
+    assert out == ""
+    assert f"got {argv[-1]}" in err
+
+
+# The least positive float: the first sampling probability it yields is
+# subnormal, or 0 on a wedge-rich graph.
+TINY = "5e-324"
+
+
+def test_sample_at_tiny_zeta(tmp_path, capsys):
+    _, text, _ = run_cli(capsys, "gen", "random", "40", "0.5", "--seed", "3")
+    path = write_graph(tmp_path, "g40.edges", text)
+    code, out, err = run_cli(capsys, "sample", "--zeta", TINY, path)
+    assert code == 0
+    assert out.startswith("# m=397 wedges=2100 ")
+    assert "Traceback" not in err
+
+
+def test_approx_at_tiny_zeta(tmp_path, capsys):
+    path = write_graph(tmp_path, "k5.edges", k5_text())
+    code, out, err = run_cli(capsys, "truss", "approx", "--zeta", TINY, path)
+    assert code == 0
+    assert out.startswith("estimate ")
+    assert "Traceback" not in err
+
+
+def test_gen_random_at_tiny_p(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "gen", "random", "50", TINY)
+    assert code == 0
+    g, _ = load_graph(write_graph(tmp_path, "empty.edges", out))
+    assert g.m == 0
+
+
+def test_zeta_whose_first_p_underflows_is_one_line_error(tmp_path, capsys):
+    _, text, _ = run_cli(capsys, "gen", "random", "300", "0.3", "--seed", "2")
+    path = write_graph(tmp_path, "g300.edges", text)
+    code, out, err = run_cli(capsys, "sample", "--epsilon", "0.9", "--zeta", TINY, path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"trusslab: error: zeta={TINY} ")
+    assert err.count("\n") == 1
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     path = write_graph(tmp_path, "k5.edges", k5_text())
     target = tmp_path / "result.txt"

@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -61,16 +60,21 @@ def test_blowup_view_matches_materialized(g):
     view = blowup(g, q)
     mat = view.materialize()
     assert view.n == mat.n and view.m == mat.m
-    rng = random.Random(11)
     assert sorted(view.edges()) == sorted(mat.edges())
-    for _ in range(25):
-        x = rng.randrange(view.n) if view.n else 0
-        if view.n == 0:
-            break
-        y = rng.randrange(view.n)
-        assert view.has_edge(x, y) == mat.has_edge(x, y)
-        assert view.degree(x) == mat.degree(x)
-        assert sorted(view.neighbors(x)) == list(mat.neighbors(x))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_blowup_edge_id_layout(q):
+    """Edge base_id*q^2 + i*q + j joins copy i of the base edge's lower end
+    to copy j of its upper end; ``decomposition_from_order`` decodes it."""
+    for seed in range(3):
+        base = gnp_random_graph(8, 0.5, 40 + seed)
+        mat = blowup(base, q).materialize()
+        assert mat.m == base.m * q * q
+        for eid, pair in enumerate(mat.edges()):
+            u, v = base.pair(eid // (q * q))
+            i, j = divmod(eid % (q * q), q)
+            assert pair == (u * q + i, v * q + j)
 
 
 def test_blowup_amplification_sample():

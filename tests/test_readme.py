@@ -1,0 +1,18 @@
+"""The README's library quick start runs as written, so a name it cites
+cannot be deleted from the package unnoticed."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_blocks_run(capsys):
+    text = README.read_text(encoding="utf-8")
+    blocks = list(re.finditer(r"```python\n(.*?)```", text, re.S))
+    assert blocks
+    for block in blocks:
+        # pad so that a traceback names the README's own line numbers
+        pad = "\n" * text.count("\n", 0, block.start(1))
+        exec(compile(pad + block.group(1), str(README), "exec"), {})
+    assert capsys.readouterr().out

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -14,7 +15,6 @@ from trusslab.sampling import (
     HypergraphSample,
     SamplerConfig,
     _skip_pass,
-    _WedgeSpace,
     effective_epsilon,
     fallback_certain,
     geometric_skip,
@@ -24,7 +24,7 @@ from trusslab.sampling import (
     sample_size_target,
     sample_wedges_fixed_p,
 )
-from trusslab.triangles import compute_supports, list_triangles
+from trusslab.triangles import compute_supports, forward_rows, list_triangles
 
 
 # -------------------------------------------------------- geometric skip ----
@@ -61,6 +61,21 @@ def test_skip_tail_probability():
 def test_skip_support_is_positive(seed):
     rng = random.Random(seed)
     assert geometric_skip(0.25, rng) >= 1
+
+
+@pytest.mark.parametrize("p", [5e-324, sys.float_info.min])
+def test_skip_at_tiny_p_passes_everything(p):
+    """Below p ~ 2e-307 the float ln U / ln(1-p) can overflow.  The skips
+    are then taken exactly, one draw each, and pass every serial in reach,
+    so a fixed-p pass and G(n, p) keep nothing."""
+    rng, ref = random.Random(4), random.Random(4)
+    assert all(geometric_skip(p, rng) > 10**290 for _ in range(200))
+    for _ in range(200):
+        ref.random()
+    assert rng.getstate() == ref.getstate()
+    g = complete_graph(6)
+    assert sample_wedges_fixed_p(g, degeneracy_order(g), p, 0).hyperedges == []
+    assert gnp_random_graph(50, p, 3).m == 0
 
 
 # --------------------------------------------------------------- fixed p ----
@@ -135,21 +150,26 @@ def _star_with_chords(n: int, p: float, seed: int):
     return build_graph(edges)
 
 
+def _rows(g):
+    info = degeneracy_order(g)
+    return list(forward_rows(g, info.order, info.positions))
+
+
 def test_skip_pass_matches_reference():
     """Row walk with closed-form pairs against the pass that scans for each
     serial: equal samples, and equal RNG states after the pass, so the next
     pass of the doubling loop draws the same numbers too."""
     star = _star_with_chords(40, 0.02, 4)
-    assert len(_WedgeSpace(star, degeneracy_order(star)).rows) < star.n // 2
+    assert len(_rows(star)) < star.n // 2
     graphs = [_gnm(30, 60, 1), _gnm(30, 200, 2), _gnm(30, 400, 3), star,
               complete_graph(8), blowup(complete_graph(4), 2).materialize()]
     for gi, g in enumerate(graphs):
-        space = _WedgeSpace(g, degeneracy_order(g))
+        rows = _rows(g)
         for p in (1e-4, 0.05, 0.3, 0.9, 1.0):
             for seed in range(3):
                 rng, ref = random.Random(seed), random.Random(seed)
-                want = oracles.reference_skip_pass(space, p, ref)
-                assert _skip_pass(space, p, rng) == want, (gi, p, seed)
+                want = oracles.reference_skip_pass(g, rows, p, ref)
+                assert _skip_pass(g, rows, p, rng) == want, (gi, p, seed)
                 assert rng.getstate() == ref.getstate(), (gi, p, seed)
 
 
@@ -160,9 +180,9 @@ def test_doubling_loop_matches_reference_pass(monkeypatch):
     got = sample_hypergraph(g, info, cfg)
     passes = []
 
-    def reference(space, p, rng):
+    def reference(g, rows, p, rng):
         passes.append(p)
-        return oracles.reference_skip_pass(space, p, rng)
+        return oracles.reference_skip_pass(g, rows, p, rng)
 
     monkeypatch.setattr(sampling, "_skip_pass", reference)
     assert sample_hypergraph(g, info, cfg) == got
@@ -263,6 +283,22 @@ def test_sampler_config_validation():
         SamplerConfig(epsilon=1.0)
     with pytest.raises(ValueError):
         SamplerConfig(epsilon=0.5, zeta=0.0)
+
+
+@pytest.mark.parametrize("zeta", [math.nan, math.inf])
+def test_sampler_config_rejects_non_finite_zeta(zeta):
+    with pytest.raises(ValueError, match="finite"):
+        SamplerConfig(epsilon=0.5, zeta=zeta)
+
+
+def test_zeta_whose_first_p_underflows_is_rejected():
+    """On K60 at epsilon 0.9, zeta = 5e-324 puts the first p below the least
+    subnormal float: no pass could keep anything, and doubling a p of 0
+    never reaches 1."""
+    g = complete_graph(60)
+    cfg = SamplerConfig(epsilon=0.9, zeta=5e-324)
+    with pytest.raises(ValueError, match="zeta=5e-324"):
+        sample_hypergraph(g, degeneracy_order(g), cfg)
 
 
 # ------------------------------------------------------------ generation ----
