@@ -24,14 +24,14 @@ from .gadgets import (
     disjoint_union,
     spurious_clique_budget,
 )
-from .graph import BucketQueue, Graph, build_graph, degeneracy_order
+from .graph import BucketQueue, Graph, degeneracy_order
 from .sampling import (
     HypergraphSample,
     SamplerConfig,
     fallback_certain,
     sample_hypergraph,
 )
-from .triangles import compute_supports
+from .triangles import _common_neighbor_counts, _neighbor_sets, compute_supports
 from .truss import _peel_from_supports, suffix_support_profile
 
 
@@ -293,28 +293,29 @@ class ThresholdRound:
 def threshold_rounds(g: Graph, epsilon: float) -> list[ThresholdRound]:
     """Density trajectory of iterated support thresholding with c = 3+eps.
 
-    Each round recomputes all supports combinatorially, records the triangle
-    density T_i/m_i, and deletes every edge of support <= c * T_i/m_i; since
-    supports sum to 3*T_i, at most a 3/c fraction of edges survives, so the
-    loop ends after O(log m) rounds.
+    Each round counts the surviving edges' supports as common neighbors,
+    records the triangle density T_i/m_i and removes every edge of support
+    <= c * T_i/m_i from the neighbor sets; supports sum to 3*T_i, so at most
+    a 3/c fraction of edges survives and O(log m) rounds suffice.
     """
     if not (0.0 < epsilon < math.inf):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     c = 3 + Fraction(str(epsilon))
     rounds: list[ThresholdRound] = []
-    node_count = g.n
-    current = g
-    while current.m > 0:
-        table = compute_supports(current)
-        density = Fraction(table.triangle_count, current.m)
-        rounds.append(ThresholdRound(current.m, table.triangle_count, density))
-        cutoff = c * density
-        survivors = [
-            pair
-            for eid, pair in enumerate(current.edges())
-            if table.support[eid] > cutoff
-        ]
-        current = build_graph(survivors, node_count=node_count)
+    nbrs = _neighbor_sets(g)
+    pairs = list(g.edges())
+    while pairs:
+        support = _common_neighbor_counts(nbrs, pairs)
+        triangles = sum(support) // 3
+        density = Fraction(triangles, len(pairs))
+        rounds.append(ThresholdRound(len(pairs), triangles, density))
+        # Supports are integers, so s > c * density iff s > its floor.
+        cutoff = math.floor(c * density)
+        for (u, v), s in zip(pairs, support):
+            if s <= cutoff:
+                nbrs[u].discard(v)
+                nbrs[v].discard(u)
+        pairs = [pair for pair, s in zip(pairs, support) if s > cutoff]
     return rounds
 
 

@@ -116,12 +116,15 @@ def _skip_pass(
     current row.  A row of L later neighbors holds L(L-1)/2 pairs; counted
     back from its end, the pairs of index i = L-2-k are offsets
     k(k+1)/2 .. k(k+1)/2 + k, so k and then j follow from one isqrt.
-    Each probe costs O(1), and each pass O(rows + probes).
+    Each probe costs O(1), and each pass O(rows + probes).  A wedge is a
+    pair of edges, so a first skip past m(m-1)/2 >= W walks no row.
     """
     out: list[tuple[int, int, int]] = []
     keep, adj, isqrt = out.append, g.neighbors, math.isqrt
     skip = _skips(p, rng).__next__
     gap = skip() - 1
+    if gap >= g.m * (g.m - 1) // 2:
+        return out
     for _, later, ids in rows:
         last = len(later) - 1
         size = last * (last + 1) // 2

@@ -1,11 +1,11 @@
 """Triangle counting, listing, and per-edge support.
 
-Every triangle is found by one walk over the forward wedges of a node order
-(Chiba & Nishizeki 1985): a triangle's earliest node sees the other two
-among its later neighbors, so it closes exactly one of them.  Supports walk
-the (degree, id) order, which takes one sort; listing and the sampler
-walk the degeneracy order, which fixes the listing order and the
-sampler's wedge serials.
+Triangles are listed by one walk over the forward wedges of the degeneracy
+order (Chiba & Nishizeki 1985): a triangle's earliest node sees the other
+two among its later neighbors, so it closes exactly one of them.  That
+order fixes the listing order and the sampler's wedge serials.  Supports
+need no order: an edge's support is the number of common neighbors of its
+endpoints, one C-level set intersection per edge.
 """
 
 from __future__ import annotations
@@ -63,15 +63,6 @@ def forward_rows(g: Graph, order: Sequence[int], pos: Sequence[int]) -> Iterator
             yield u, later, [ids[v] for v in later]
 
 
-def degree_order(g: Graph) -> tuple[list[int], list[int]]:
-    """Nodes ascending by (degree, id), and the position of each node."""
-    order = sorted(range(g.n), key=g.degree)
-    positions = [0] * g.n
-    for rank, u in enumerate(order):
-        positions[u] = rank
-    return order, positions
-
-
 def forward_triangles(
     g: Graph, rows: Iterable[ForwardRow] | None = None
 ) -> Iterator[tuple[int, int, int, int, int, int]]:
@@ -95,21 +86,24 @@ def forward_triangles(
                     yield u, a, b, ua, ub, ab
 
 
-def compute_supports(g: Graph) -> SupportTable:
-    """Exact support of every edge: three increments per triangle.
+def _neighbor_sets(g: Graph) -> list[set[int]]:
+    """One set of neighbors per node; isolated nodes, which end no edge,
+    share one empty set."""
+    none: set[int] = set()
+    return [set(ids) if ids else none for ids in map(g.neighbors, range(g.n))]
 
-    Walks the forward wedges of the (degree, id) order, where every node has
-    at most sqrt(2m) later neighbors; supports do not depend on the order,
-    so no degeneracy peel is needed.
-    """
-    support = [0] * g.m
-    count = 0
-    for _, _, _, x, y, z in forward_triangles(g, forward_rows(g, *degree_order(g))):
-        support[x] += 1
-        support[y] += 1
-        support[z] += 1
-        count += 1
-    return SupportTable(support, count)
+
+def _common_neighbor_counts(nbrs: list[set[int]], pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Number of common neighbors of each pair (u, v): its support."""
+    return [len(nbrs[u] & nbrs[v]) for u, v in pairs]
+
+
+def compute_supports(g: Graph) -> SupportTable:
+    """Exact support of every edge: the common neighbors of its endpoints,
+    each counted by one set intersection in C that walks the smaller set.
+    Every triangle is counted at each of its three edges."""
+    support = _common_neighbor_counts(_neighbor_sets(g), g.edges())
+    return SupportTable(support, sum(support) // 3)
 
 
 def list_triangles(g: Graph, sink: Optional[Callable[[Triangle], None]] = None) -> int:

@@ -3,10 +3,12 @@
 Everything here recomputes quantities by definition (exhaustive enumeration,
 subset sweeps, naive fixed points) without touching the peeling/sampling code
 paths under test, so expected values stay honest.  The exceptions are the
-reference slow paths kept to check fast ones against: the peel with a
-removed-edge array and one heap push per decrement, the quadratic suffix
-replay, the marker estimator that materialises every round, the skip pass
-that scans for each probed wedge, and G(n, p) drawn skip by skip.
+reference slow paths kept to check fast ones against: supports counted by
+the forward-wedge walk, the threshold estimator that rebuilds its graph
+every round, the peel with a removed-edge array and one heap push per
+decrement, the quadratic suffix replay, the marker estimator that
+materialises every round, the skip pass that scans for each probed wedge,
+and G(n, p) drawn skip by skip.
 """
 
 from __future__ import annotations
@@ -19,9 +21,14 @@ from itertools import combinations
 
 import numpy as np
 
-from trusslab.approx import EstimateResult, hypergraph_degeneracy_order, marker_test
+from trusslab.approx import (
+    EstimateResult,
+    ThresholdRound,
+    hypergraph_degeneracy_order,
+    marker_test,
+)
 from trusslab.gadgets import add_spurious_cliques, blowup, complete_graph, disjoint_union
-from trusslab.graph import Graph, degeneracy_order, forward_wedge_count
+from trusslab.graph import Graph, build_graph, degeneracy_order, forward_wedge_count
 from trusslab.sampling import (
     SamplerConfig,
     effective_epsilon,
@@ -30,7 +37,14 @@ from trusslab.sampling import (
     sample_hypergraph,
     sample_size_target,
 )
-from trusslab.triangles import ForwardRow, SupportTable, compute_supports, sorted3
+from trusslab.triangles import (
+    ForwardRow,
+    SupportTable,
+    compute_supports,
+    forward_rows,
+    forward_triangles,
+    sorted3,
+)
 from trusslab.truss import EdgeOrder, TrussDecomposition, _peel_from_supports
 
 
@@ -166,6 +180,44 @@ def replay_min_degree_order(g: Graph, order: list[int]) -> bool:
             if v in remaining:
                 degree[v] -= 1
     return not remaining
+
+
+def reference_compute_supports(g: Graph) -> SupportTable:
+    """Supports from the forward-wedge walk in (degree, id) order: three
+    increments per triangle, at the one wedge that closes it."""
+    order = sorted(range(g.n), key=g.degree)
+    positions = [0] * g.n
+    for rank, u in enumerate(order):
+        positions[u] = rank
+    support = [0] * g.m
+    count = 0
+    for _, _, _, x, y, z in forward_triangles(g, forward_rows(g, order, positions)):
+        support[x] += 1
+        support[y] += 1
+        support[z] += 1
+        count += 1
+    return SupportTable(support, count)
+
+
+def reference_threshold_rounds(g: Graph, epsilon: float) -> list[ThresholdRound]:
+    """Iterated support thresholding with c = 3+eps that rebuilds the
+    survivor graph and recounts all its supports every round."""
+    c = 3 + Fraction(str(epsilon))
+    rounds: list[ThresholdRound] = []
+    node_count = g.n
+    current = g
+    while current.m > 0:
+        table = compute_supports(current)
+        density = Fraction(table.triangle_count, current.m)
+        rounds.append(ThresholdRound(current.m, table.triangle_count, density))
+        cutoff = c * density
+        survivors = [
+            pair
+            for eid, pair in enumerate(current.edges())
+            if table.support[eid] > cutoff
+        ]
+        current = build_graph(survivors, node_count=node_count)
+    return rounds
 
 
 def reference_peel_from_supports(

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import FIGURE_LEFT_TRUSSNESS, figure_left_graph, gadget_graphs
-from oracles import reference_estimate_trussness
+from oracles import reference_estimate_trussness, reference_threshold_rounds
 from test_cli import run_cli
 from test_graph import small_graphs
+from test_truss import _hub_graph
 from trusslab.approx import (
     approx_order_holds,
     approx_truss_order,
@@ -362,6 +363,37 @@ def test_threshold_shrink_rate():
         shrink = Fraction(3, 1) / (3 + Fraction("0.1"))
         for before, after in zip(rounds, rounds[1:]):
             assert after.edges <= shrink * before.edges
+
+
+def test_threshold_rounds_match_reference():
+    """In-place common-neighbor recounts against the loop that rebuilds the
+    survivor graph and recounts every support each round."""
+    graphs = [gnp_random_graph(40, p, 50 + i) for i, p in enumerate((0.1, 0.5, 0.9))]
+    graphs += [_hub_graph(30 + 10 * i, 0.15, 60 + i) for i in range(3)]
+    graphs += [
+        complete_graph(7),
+        blowup(complete_graph(4), 2).materialize(),
+        build_graph([(2, 5), (5, 9), (2, 9), (9, 12), (5, 12), (0, 12)], node_count=20),
+        build_graph([]),
+    ]
+    for i, g in enumerate(graphs):
+        for eps in (1e-3, 0.1, 2, 50):
+            assert threshold_rounds(g, eps) == reference_threshold_rounds(g, eps), (i, eps)
+
+
+def test_threshold_rounds_build_no_graph(monkeypatch):
+    import trusslab.approx
+    import trusslab.graph
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("build_graph called")
+
+    g = gnp_random_graph(30, 0.5, 9)
+    want = reference_threshold_rounds(g, 0.1)
+    assert len(want) > 1
+    monkeypatch.setattr(trusslab.approx, "build_graph", forbidden, raising=False)
+    monkeypatch.setattr(trusslab.graph, "build_graph", forbidden)
+    assert threshold_rounds(g, 0.1) == want
 
 
 @settings(max_examples=60)

@@ -173,6 +173,24 @@ def test_skip_pass_matches_reference():
                 assert rng.getstate() == ref.getstate(), (gi, p, seed)
 
 
+class _Unwalkable(list):
+    def __iter__(self):
+        raise AssertionError("the pass walked the forward rows")
+
+
+@pytest.mark.parametrize("p", [5e-324, 1e-300])
+def test_pass_past_every_wedge_walks_no_row(p):
+    """At a p so small that the first skip passes all W wedges, the pass
+    returns without iterating the rows, with the reference's RNG state."""
+    g = complete_graph(8)
+    rows = _rows(g)
+    for seed in range(3):
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert oracles.reference_skip_pass(g, rows, p, ref) == []
+        assert _skip_pass(g, _Unwalkable(rows), p, rng) == []
+        assert rng.getstate() == ref.getstate(), seed
+
+
 def test_doubling_loop_matches_reference_pass(monkeypatch):
     g = _gnm(120, 3000, 7)
     info = degeneracy_order(g)

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 
 import oracles
 from test_graph import small_graphs
+from test_truss import _hub_graph
 from trusslab.gadgets import bipartite_apex, blowup, complete_graph
 from trusslab.graph import build_graph
 from trusslab.sampling import gnp_random_graph
@@ -51,6 +52,24 @@ def test_support_bounded_by_min_degree(g):
     for eid, (u, v) in enumerate(g.edges()):
         if table.support[eid] > 0:
             assert table.support[eid] <= min(g.degree(u), g.degree(v)) - 1
+
+
+def test_supports_match_forward_walk_reference():
+    """Common-neighbor counts against the forward-wedge walk in (degree, id)
+    order, on graphs of up to a few thousand edges."""
+    graphs = [
+        gnp_random_graph(80, 0.5, 1),
+        gnp_random_graph(150, 0.2, 2),
+        gnp_random_graph(100, 0.6, 3),
+        gnp_random_graph(400, 0.02, 4),
+        _hub_graph(1500, 0.001, 5),
+        _hub_graph(600, 0.01, 6),
+        blowup(complete_graph(6), 3).materialize(),
+        bipartite_apex(12),
+    ]
+    assert max(g.m for g in graphs) > 2500
+    for i, g in enumerate(graphs):
+        assert compute_supports(g) == oracles.reference_compute_supports(g), i
 
 
 def test_list_k4():
