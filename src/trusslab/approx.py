@@ -80,6 +80,9 @@ def hypergraph_degeneracy_order(sample: HypergraphSample) -> ApproxTrussOrder:
         v, d = queue.pop_min()
         order.append(v)
         forward.append(d)
+        # d counts v's live hyperedges; at 0 there is nothing to remove.
+        if not d:
+            continue
         # Both other endpoints of a live hyperedge are live; v itself is
         # popped, so the queue skips it.
         batch: list[int] = []

@@ -4,12 +4,17 @@ seeded random graphs, and a CSV benchmark harness.
 Results go to stdout (or --out) and are byte-deterministic given the same
 input, flags, and seed; a one-line run report with wall time goes to stderr.
 Exit codes: 0 success, 1 I/O or data errors, 2 usage errors.
+
+The argument parser is built once per process, so in-process callers of
+``main`` pay for it once.  Line outputs are streamed with one ``writelines``
+over a generator, never built as one string.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
@@ -156,8 +161,9 @@ def cmd_truss_decompose(args) -> int:
     decomp, _ = truss_decomposition(g)
     elapsed = time.perf_counter() - start
     with _open_out(args.out) as out:
-        for eid, (u, v) in enumerate(g.edges()):
-            print(f"{u} {v} {decomp.edge_trussness[eid]}", file=out)
+        out.writelines(
+            f"{u} {v} {t}\n" for (u, v), t in zip(g.edges(), decomp.edge_trussness)
+        )
     RunReport("truss decompose", g.n, g.m, result=str(decomp.trussness), seconds=elapsed).emit()
     return 0
 
@@ -170,12 +176,15 @@ def cmd_truss_approx(args) -> int:
     )
     elapsed = time.perf_counter() - start
     with _open_out(args.out) as out:
-        print(f"estimate {result.estimate}", file=out)
-        print(f"exact {'true' if result.exact else 'false'}", file=out)
-        print(f"iterations {result.iterations}", file=out)
-        print(f"fallback-only {'true' if result.all_rounds_fell_back else 'false'}", file=out)
-        for x, hit in result.trace:
-            print(f"round x={x} marker={'hit' if hit else 'miss'}", file=out)
+        out.write(
+            f"estimate {result.estimate}\n"
+            f"exact {'true' if result.exact else 'false'}\n"
+            f"iterations {result.iterations}\n"
+            f"fallback-only {'true' if result.all_rounds_fell_back else 'false'}\n"
+        )
+        out.writelines(
+            f"round x={x} marker={'hit' if hit else 'miss'}\n" for x, hit in result.trace
+        )
     RunReport(
         "truss approx",
         g.n,
@@ -195,9 +204,11 @@ def cmd_truss_threshold(args) -> int:
     elapsed = time.perf_counter() - start
     estimate = max((r.density for r in rounds), default=Fraction(0))
     with _open_out(args.out) as out:
-        print(f"estimate {estimate}", file=out)
-        for i, r in enumerate(rounds, start=1):
-            print(f"round {i} m={r.edges} T={r.triangles} density={r.density}", file=out)
+        out.write(f"estimate {estimate}\n")
+        out.writelines(
+            f"round {i} m={r.edges} T={r.triangles} density={r.density}\n"
+            for i, r in enumerate(rounds, start=1)
+        )
     RunReport(
         "truss threshold",
         g.n,
@@ -231,8 +242,7 @@ def cmd_triangles_list(args) -> int:
     elapsed = time.perf_counter() - start
     rows.sort()
     with _open_out(args.out) as out:
-        for a, b, c in rows:
-            print(f"{a} {b} {c}", file=out)
+        out.writelines(f"{a} {b} {c}\n" for a, b, c in rows)
     RunReport("triangles list", g.n, g.m, count, seconds=elapsed).emit()
     return 0
 
@@ -247,17 +257,22 @@ def cmd_order(args) -> int:
         decomp, order = truss_decomposition(g)
         elapsed = time.perf_counter() - start
         with _open_out(args.out) as out:
-            print(f"trussness {decomp.trussness}", file=out)
-            for eid, fwd in zip(order.order, order.forward_support):
-                u, v = g.pair(eid)
-                print(f"{eid} {u} {v} {fwd}", file=out)
+            out.write(f"trussness {decomp.trussness}\n")
+            out.writelines(
+                f"{eid} {u} {v} {fwd}\n"
+                for eid, (u, v), fwd in zip(
+                    order.order, map(g.pair, order.order), order.forward_support
+                )
+            )
         RunReport("order --edges", g.n, g.m, result=str(decomp.trussness), seconds=elapsed).emit()
     else:
         info = degeneracy_order(g)
         elapsed = time.perf_counter() - start
         with _open_out(args.out) as out:
-            print(f"degeneracy {info.degeneracy}", file=out)
-            print(" ".join(str(u) for u in info.order), file=out)
+            # The order is one line; its tokens are joined, the lines are not.
+            out.writelines(
+                (f"degeneracy {info.degeneracy}\n", " ".join(map(str, info.order)), "\n")
+            )
         RunReport("order", g.n, g.m, result=str(info.degeneracy), seconds=elapsed).emit()
     return 0
 
@@ -274,14 +289,12 @@ def cmd_sample(args) -> int:
     sample = sample_hypergraph(g, info, cfg)
     elapsed = time.perf_counter() - start
     with _open_out(args.out) as out:
-        print(
+        out.write(
             f"# m={g.m} wedges={wedges} p={sample.realized_p:.10g}"
             f" fallback={'true' if sample.fell_back_to_exact else 'false'}"
-            f" hyperedges={len(sample.hyperedges)} seed={sample.rng_seed}",
-            file=out,
+            f" hyperedges={len(sample.hyperedges)} seed={sample.rng_seed}\n"
         )
-        for a, b, c in sample.hyperedges:
-            print(f"{a} {b} {c}", file=out)
+        out.writelines(f"{a} {b} {c}\n" for a, b, c in sample.hyperedges)
     RunReport(
         "sample",
         g.n,
@@ -397,8 +410,14 @@ def _ratio(estimate: Fraction, exact: int) -> float:
 
 
 def _within(estimate: Fraction, exact: int, epsilon: float) -> bool:
+    """The marker-clique estimator's guarantee: within (1±eps) of t."""
     eps = Fraction(str(epsilon))
     return (1 - eps) * exact <= estimate <= (1 + eps) * exact
+
+
+def _sandwiched(estimate: Fraction, exact: int, epsilon: float) -> bool:
+    """The threshold estimator's guarantee: t~ <= t <= (3+eps) * t~."""
+    return estimate <= exact <= (3 + Fraction(str(epsilon))) * estimate
 
 
 @dataclass
@@ -455,7 +474,7 @@ def _bench_rows_for_graph(
             est = threshold_estimate(bg.graph, eps)
             cells.append(("threshold", eps, est, time.perf_counter() - start))
     for estimator, eps, est, secs in cells:
-        within = eps is None or _within(est, bg.trussness, eps)
+        within = eps is None or _sandwiched(est, bg.trussness, eps)
         for kind in ("run", "summary"):
             row(kind, estimator, eps=eps, estimate=est, ratio=_ratio(est, bg.trussness),
                 within=within, secs=secs)
@@ -520,7 +539,13 @@ def cmd_bench(args) -> int:
 # ----------------------------------------------------------------- main ----
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole argument tree, built on the first call and shared after it.
+
+    Parsing leaves the tree unchanged and every default is immutable, so one
+    tree serves every ``main`` call in a process.
+    """
     parser = argparse.ArgumentParser(
         prog="trusslab",
         description="Exact and approximate k-truss decomposition toolkit",
@@ -623,9 +648,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.add_argument("--corpus", required=True, help="directory of .edges files or a manifest")
     p.add_argument("--estimators", default="exact,approx,threshold")
-    p.add_argument("--epsilons", type=_float_list(_unit_open_interval), default=[0.3])
-    p.add_argument("--zetas", type=_float_list(_positive_float), default=[110.0])
-    p.add_argument("--seeds", type=_seed_list, default=[0])
+    p.add_argument("--epsilons", type=_float_list(_unit_open_interval), default=(0.3,))
+    p.add_argument("--zetas", type=_float_list(_positive_float), default=(110.0,))
+    p.add_argument("--seeds", type=_seed_list, default=(0,))
     p.add_argument("--no-timing", action="store_true", help="zero the seconds column")
     p.set_defaults(func=cmd_bench)
 

@@ -78,11 +78,12 @@ def _load_stream(fh: IO[str]) -> tuple[Graph, list[bool]]:
 
 
 def write_edge_list(fh: IO[str], g: Graph, spurious: Sequence[bool] | None = None) -> None:
-    for eid, (u, v) in enumerate(g.edges()):
-        if spurious is not None and spurious[eid]:
-            fh.write(f"{u} {v} # spurious\n")
-        else:
-            fh.write(f"{u} {v}\n")
+    """Write one ``u v`` line per edge in id order, streamed line by line;
+    edges flagged in ``spurious`` carry the ``# spurious`` marker."""
+    fh.writelines(
+        f"{u} {v} # spurious\n" if spurious is not None and spurious[eid] else f"{u} {v}\n"
+        for eid, (u, v) in enumerate(g.edges())
+    )
 
 
 def edge_list_text(g: Graph, spurious: Sequence[bool] | None = None) -> str:

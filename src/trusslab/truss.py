@@ -59,7 +59,8 @@ def _peel_from_supports(g: Graph, supports: SupportTable) -> tuple[TrussDecompos
     the peel goes: a popped edge leaves both endpoint maps before the
     smaller one is walked, so removed edges are never probed and every
     triangle found is live.  The other two edges of all triangles a pop
-    closes go to the queue in one batched decrement.
+    closes go to the queue in one batched decrement.  A pop's key counts
+    its live triangles, so a pop at key 0 only leaves the maps.
     """
     m = g.m
     queue = BucketQueue(supports.support)
@@ -81,7 +82,8 @@ def _peel_from_supports(g: Graph, supports: SupportTable) -> tuple[TrussDecompos
         far = adj[v]
         del near[v]
         del far[u]
-        queue.decrease(_closing_edge_ids(near, far))
+        if s:
+            queue.decrease(_closing_edge_ids(near, far))
     return TrussDecomposition(t, level), EdgeOrder(order, fwd)
 
 

@@ -1,9 +1,12 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
+import trusslab
 from conftest import FIGURE_LEFT_EDGES
-from trusslab.cli import main
+from trusslab.cli import build_parser, main
 from trusslab.gadgets import complete_graph
 from trusslab.io import edge_list_text, load_graph
 from trusslab.truss import trussness
@@ -181,6 +184,60 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert main(["nonsense"]) == 2
     capsys.readouterr()
+
+
+def fresh_process(*argv):
+    """Run the CLI in a new interpreter: (exit code, stdout, stderr)."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trusslab.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "trusslab.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_flags_of_one_call_do_not_reach_the_next(tmp_path, capsys):
+    path = write_graph(tmp_path, "k5.edges", k5_text())
+    code, _, err = run_cli(capsys, "truss", "approx", path, "--seed", "7", "--zeta", "0.5")
+    assert code == 0
+    assert " seed=7 epsilon=0.5 zeta=0.5 " in err
+    code, _, err = run_cli(capsys, "truss", "approx", path)
+    assert code == 0
+    assert " seed=0 epsilon=0.5 zeta=110.0 " in err
+
+
+def test_bench_grid_defaults_are_immutable():
+    args = build_parser().parse_args(["bench", "--corpus", "c"])
+    assert (args.epsilons, args.zetas, args.seeds) == ((0.3,), (110.0,), (0,))
+
+
+@pytest.mark.parametrize("usage_first", [True, False])
+def test_usage_error_and_valid_call_match_fresh_processes(tmp_path, capsys, usage_first):
+    path = write_graph(tmp_path, "k5.edges", k5_text())
+    usage = ["truss", "approx", "--epsilon", "1.5", path]
+    valid = ["truss", "approx", "--seed", "3", path]
+    for argv in ([usage, valid] if usage_first else [valid, usage]):
+        code, out, err = run_cli(capsys, *argv)
+        fresh_code, fresh_out, fresh_err = fresh_process(*argv)
+        assert (code, out) == (fresh_code, fresh_out)
+        if argv is usage:
+            assert code == 2
+            assert err == fresh_err
+        else:
+            assert code == 0
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["truss", "approx", "--help"]])
+def test_help_is_identical_on_every_call(capsys, argv):
+    code, first, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert first.startswith("usage: trusslab")
+    assert run_cli(capsys, *argv) == (0, first, "")
 
 
 def test_missing_file_exit_code(capsys):

@@ -2,8 +2,10 @@
 
 The expected files under ``tests/golden`` were captured from the CLI before
 the graph core moved to per-node edge-id maps; ``bench.out`` was recaptured
-when the bench CSV dropped its ``reused`` column.  Regenerate them only for a
-deliberate change of output:
+when the bench CSV dropped its ``reused`` column, and again when its
+``within`` column began to judge the threshold estimator by its
+t~ <= t <= (3+eps)·t~ sandwich (six fields went 0 -> 1).  Regenerate them
+only for a deliberate change of output:
 
     PYTHONPATH=src python tests/test_golden.py
 """

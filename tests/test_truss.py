@@ -145,6 +145,31 @@ def test_supports_and_peel_need_no_degeneracy_order(monkeypatch):
     assert truss_decomposition(g) == oracles.reference_peel_from_supports(g, supports)
 
 
+def test_peel_walks_only_pops_with_live_triangles(monkeypatch):
+    """A pop at key 0 closes no live triangle, so the peel walks no map for it."""
+    import trusslab.truss
+
+    # A 40-leaf star with four chords: four triangles at the hub; most edges
+    # pop at key 0, some of them only after their triangles are gone.
+    pairs = [(0, leaf) for leaf in range(1, 41)] + [(1, 2), (3, 4), (5, 6), (2, 3)]
+    random.Random(5).shuffle(pairs)
+    g = build_graph(pairs)
+    walks = []
+    real = trusslab.truss._closing_edge_ids
+
+    def counting(near, far):
+        walks.append(1)
+        return real(near, far)
+
+    monkeypatch.setattr(trusslab.truss, "_closing_edge_ids", counting)
+    supports = compute_supports(g)
+    decomp, order = _peel_from_supports(g, supports)
+    assert (decomp, order) == oracles.reference_peel_from_supports(g, supports)
+    live_pops = sum(1 for s in order.forward_support if s > 0)
+    assert 0 < live_pops < g.m
+    assert len(walks) == live_pops
+
+
 @settings(max_examples=60)
 @given(small_graphs(max_nodes=9))
 def test_trussness_bounded_by_density_and_degeneracy(g):
