@@ -12,21 +12,18 @@ class Graph:
 
     Nodes are ``0..n-1``; edge ids are ``0..m-1`` in first-appearance order of
     the (deduplicated) input edge list.  Each node keeps one map from
-    neighbor to edge id, iterated in ascending neighbor order, so a single
-    lookup both tests an edge and names it.  Instances are immutable after
-    construction and safe to share across threads.
+    neighbor to edge id, iterated in ascending edge-id order, so a single
+    lookup both tests an edge and names it.  Graphs are built by
+    ``build_graph``; instances are immutable after construction and safe to
+    share across threads.
     """
 
     __slots__ = ("n", "m", "_adj", "_pairs")
 
-    def __init__(self, n: int, pairs: list[tuple[int, int]]):
-        adj: list[dict[int, int]] = [{} for _ in range(n)]
-        for eid, (u, v) in enumerate(pairs):
-            adj[u][v] = eid
-            adj[v][u] = eid
+    def __init__(self, n: int, adj: list[dict[int, int]], pairs: list[tuple[int, int]]):
         self.n = n
         self.m = len(pairs)
-        self._adj = [{v: ids[v] for v in sorted(ids)} for ids in adj]
+        self._adj = adj
         self._pairs = pairs
 
     def nodes(self) -> range:
@@ -39,7 +36,7 @@ class Graph:
         return 0 <= u < self.n and v in self._adj[u]
 
     def neighbors(self, u: int) -> dict[int, int]:
-        """Neighbor -> edge id, ascending by neighbor; do not mutate."""
+        """Neighbor -> edge id, ascending by edge id; do not mutate."""
         return self._adj[u]
 
     def degree(self, u: int) -> int:
@@ -59,36 +56,35 @@ class Graph:
 
 
 def build_graph(edges: Iterable[tuple[int, int]], node_count: int | None = None) -> Graph:
-    """Build a simple graph from an edge list.
+    """Build a simple graph from an edge list in one pass.
 
-    Duplicate edges and self-loops are silently dropped; edge ids follow the
-    first appearance of each surviving edge.  ``node_count`` may enlarge the
+    Duplicate edges and self-loops are silently dropped: an edge is new iff
+    it is missing from its smaller endpoint's map, so the maps dedupe and
+    edge ids follow the first appearance of each surviving edge.  Each map
+    thus fills in ascending edge-id order.  ``node_count`` may enlarge the
     node universe beyond ``max(endpoint) + 1`` (isolated nodes are permitted
-    but never created implicitly).
+    but never created implicitly); an endpoint at or past it is rejected.
     """
+    if node_count is not None and node_count < 0:
+        raise ValueError(f"negative node_count {node_count}")
+    adj: list[dict[int, int]] = [{} for _ in range(node_count or 0)]
+    n = len(adj)
     pairs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    max_node = -1
     for u, v in edges:
         if u < 0 or v < 0:
             raise ValueError(f"negative node id in edge ({u}, {v})")
-        if u > max_node:
-            max_node = u
-        if v > max_node:
-            max_node = v
-        if u == v:
-            continue
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            continue
-        seen.add(key)
-        pairs.append(key)
-    n = max_node + 1
-    if node_count is not None:
-        if node_count < n:
-            raise ValueError(f"node_count {node_count} smaller than max node id {max_node}")
-        n = node_count
-    return Graph(n, pairs)
+        if u > v:
+            u, v = v, u
+        if v >= n:
+            if node_count is not None:
+                raise ValueError(f"node id {v} not below node_count {node_count}")
+            adj.extend([{} for _ in range(v + 1 - n)])
+            n = v + 1
+        nbrs = adj[u]
+        if u != v and v not in nbrs:
+            nbrs[v] = adj[v][u] = len(pairs)
+            pairs.append((u, v))
+    return Graph(n, adj, pairs)
 
 
 class BucketQueue:

@@ -27,11 +27,10 @@ def parse_edge_lines(lines: Iterable[str]) -> tuple[list[tuple[int, int]], list[
     edges: list[tuple[int, int]] = []
     flags: list[bool] = []
     for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        body, _, comment = line.partition("#")
+        body, _, comment = raw.partition("#")
         fields = body.split()
+        if not fields:
+            continue
         if len(fields) != 2:
             raise EdgeListError(line_no, f"expected two node ids, got {body.strip()!r}")
         try:
@@ -66,14 +65,10 @@ def _load_stream(fh: IO[str]) -> tuple[Graph, list[bool]]:
     flags = [False] * g.m
     if not any(raw_flags):
         return g, flags
-    seen: set[int] = set()
-    for (u, v), flag in zip(edges, raw_flags):
-        if u == v:
-            continue
-        eid = g.edge_id(u, v)
-        if eid not in seen:
-            seen.add(eid)
-            flags[eid] = flag
+    # walked backwards, so the first occurrence of each edge writes last
+    for (u, v), flag in zip(reversed(edges), reversed(raw_flags)):
+        if u != v:
+            flags[g.edge_id(u, v)] = flag
     return g, flags
 
 

@@ -3,7 +3,9 @@
 Everything here recomputes quantities by definition (exhaustive enumeration,
 subset sweeps, naive fixed points) without touching the peeling/sampling code
 paths under test, so expected values stay honest.  The exceptions are the
-reference slow paths kept to check fast ones against: supports counted by
+reference slow paths kept to check fast ones against: the two-pass graph
+build that dedupes through a set of pairs and rebuilds every neighbor map
+in ascending-neighbor order, supports counted by
 the forward-wedge walk, the threshold estimator that rebuilds its graph
 every round, the peel with a removed-edge array and one heap push per
 decrement, the quadratic suffix replay, the marker estimator that
@@ -18,6 +20,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterable
 
 import numpy as np
 
@@ -46,6 +49,40 @@ from trusslab.triangles import (
     sorted3,
 )
 from trusslab.truss import EdgeOrder, TrussDecomposition, _peel_from_supports
+
+
+def reference_build_graph(
+    edges: Iterable[tuple[int, int]], node_count: int | None = None
+) -> Graph:
+    """Two-pass build: dedupe through a set of pairs, then fill every
+    neighbor map and rebuild each one in ascending-neighbor order."""
+    pairs: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    max_node = -1
+    for u, v in edges:
+        if u < 0 or v < 0:
+            raise ValueError(f"negative node id in edge ({u}, {v})")
+        if u > max_node:
+            max_node = u
+        if v > max_node:
+            max_node = v
+        if u == v:
+            continue
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            continue
+        seen.add(key)
+        pairs.append(key)
+    n = max_node + 1
+    if node_count is not None:
+        if node_count < n:
+            raise ValueError(f"node_count {node_count} smaller than max node id {max_node}")
+        n = node_count
+    adj: list[dict[int, int]] = [{} for _ in range(n)]
+    for eid, (u, v) in enumerate(pairs):
+        adj[u][v] = eid
+        adj[v][u] = eid
+    return Graph(n, [{v: ids[v] for v in sorted(ids)} for ids in adj], pairs)
 
 
 def brute_triangles(g: Graph) -> set[tuple[int, int, int]]:

@@ -8,7 +8,7 @@ import trusslab
 from conftest import FIGURE_LEFT_EDGES
 from trusslab.cli import build_parser, main
 from trusslab.gadgets import complete_graph
-from trusslab.io import edge_list_text, load_graph
+from trusslab.io import EdgeListError, edge_list_text, load_graph, parse_edge_lines
 from trusslab.truss import trussness
 
 
@@ -128,6 +128,34 @@ def test_spurious_flag_follows_first_surviving_occurrence(tmp_path):
     g, flags = load_graph(write_graph(tmp_path, "plain.edges", "0 1\n1 2\n1 0\n"))
     assert g.m == 2
     assert flags == [False, False]
+
+
+@pytest.mark.parametrize(
+    "line, parsed",
+    [
+        ("", ([], [])),
+        ("  \n", ([], [])),
+        ("# c", ([], [])),
+        ("  # c", ([], [])),
+        ("1 2#spurious", ([(1, 2)], [True])),
+        ("1 2 #", ([(1, 2)], [False])),
+        ("\t3\t4 ", ([(3, 4)], [False])),
+        ("1 # 2", "line 2: expected two node ids, got '1'"),
+        ("1", "line 2: expected two node ids, got '1'"),
+        ("1 2 3", "line 2: expected two node ids, got '1 2 3'"),
+        ("a b", "line 2: non-integer node id in 'a b'"),
+        ("-1 2", "line 2: negative node id in '-1 2'"),
+    ],
+)
+def test_parse_edge_lines_table(line, parsed):
+    lines = ["0 1\n", line]
+    if isinstance(parsed, str):
+        with pytest.raises(EdgeListError) as err:
+            parse_edge_lines(lines)
+        assert (str(err.value), err.value.line_no) == (parsed, 2)
+    else:
+        edges, flags = parsed
+        assert parse_edge_lines(lines) == ([(0, 1)] + edges, [False] + flags)
 
 
 def test_gadget_blowup_quantities(tmp_path, capsys):

@@ -5,13 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from trusslab.gadgets import complete_graph
+from conftest import figure_left_graph
+from trusslab.approx import approx_truss_order, estimate_trussness, threshold_rounds
+from trusslab.gadgets import bipartite_apex, blowup, complete_graph, disjoint_union, ladder_gadget
 from trusslab.graph import (
     BucketQueue,
+    Graph,
     build_graph,
     degeneracy_order,
     forward_wedge_count,
 )
+from trusslab.sampling import SamplerConfig, gnp_random_graph, sample_hypergraph
+from trusslab.triangles import compute_supports, list_triangles
+from trusslab.truss import decomposition_from_order, suffix_support_profile, truss_decomposition
 
 
 def small_graphs(max_nodes=10):
@@ -57,6 +63,61 @@ def test_build_explicit_node_count_allows_isolated_nodes():
     assert g.degree(4) == 0
     with pytest.raises(ValueError):
         build_graph([(0, 9)], node_count=3)
+    # rejected before any neighbor map is allocated for the endpoint
+    with pytest.raises(ValueError, match=r"node id 1000000000 .*node_count 3\b"):
+        build_graph([(0, 1), (0, 10**9)], node_count=3)
+
+
+def _assert_builds_like_reference(edges, node_count=None):
+    """build_graph on a one-shot iterator against the two-pass reference:
+    same n, m, pairs and neighbor maps (as dicts), or both reject."""
+    try:
+        ref = oracles.reference_build_graph(edges, node_count)
+    except ValueError:
+        with pytest.raises(ValueError):
+            build_graph(iter(edges), node_count)
+        return
+    g = build_graph(iter(edges), node_count)
+    assert (g.n, g.m) == (ref.n, ref.m)
+    assert list(g.edges()) == list(ref.edges())
+    assert [g.neighbors(u) for u in g.nodes()] == [ref.neighbors(u) for u in ref.nodes()]
+
+
+@pytest.mark.parametrize(
+    "edges, node_count",
+    [
+        ([], None),
+        ([], 0),
+        ([], 4),
+        ([], -1),
+        ([(0, 1), (0, 1), (1, 0), (1, 1)], None),
+        ([(3, 3)], None),
+        ([(5, 2), (2, 5), (0, 5), (2, 0)], 9),
+        ([(0, 1), (1, 2)], 2),
+        ([(0, 1), (2, -1)], None),
+        ([(-1, -1)], 5),
+    ],
+)
+def test_build_matches_two_pass_reference_on_edge_cases(edges, node_count):
+    _assert_builds_like_reference(edges, node_count)
+
+
+def test_build_matches_two_pass_reference_seeded():
+    rng = random.Random(12)
+    for _ in range(40):
+        n = rng.randrange(1, 30)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(3 * n))]
+        edges += [(v, u) for u, v in rng.sample(edges, len(edges) // 3)]
+        rng.shuffle(edges)
+        _assert_builds_like_reference(edges, rng.choice([None, n, n + rng.randrange(5)]))
+
+
+@given(
+    st.lists(st.tuples(st.integers(-1, 12), st.integers(-1, 12)), max_size=40),
+    st.one_of(st.none(), st.integers(-1, 16)),
+)
+def test_build_matches_two_pass_reference(edges, node_count):
+    _assert_builds_like_reference(edges, node_count)
 
 
 def test_edge_ids_follow_input_order():
@@ -80,7 +141,7 @@ def test_view_operations_consistent(g):
     for u in range(g.n):
         nbrs = g.neighbors(u)
         assert g.degree(u) == len(nbrs)
-        assert list(nbrs) == sorted(nbrs)
+        assert list(nbrs.values()) == sorted(nbrs.values())
         assert all(g.pair(e) == (min(u, v), max(u, v)) for v, e in nbrs.items())
         for v in range(g.n):
             assert g.has_edge(u, v) == (v in set(nbrs))
@@ -89,6 +150,59 @@ def test_view_operations_consistent(g):
             break
         u, v = g.pair(rng.randrange(g.m))
         assert g.has_edge(u, v) and g.has_edge(v, u)
+
+
+def _order_sensitive_outputs(g):
+    """Everything computed from a graph's neighbor maps, seeded."""
+    decomp, order = truss_decomposition(g)
+    info = degeneracy_order(g)
+    triangles = []
+    list_triangles(g, triangles.append)
+    cfg = SamplerConfig(epsilon=0.5, zeta=0.01, seed=3)
+    approx = approx_truss_order(g, cfg)
+    return (
+        decomp,
+        order,
+        compute_supports(g),
+        info,
+        triangles,
+        sample_hypergraph(g, info, cfg),
+        approx,
+        threshold_rounds(g, 0.5),
+        suffix_support_profile(g, order.order),
+        suffix_support_profile(g, approx.order),
+        estimate_trussness(g, 0.5, zeta=0.001, seed=1),
+        decomposition_from_order(g, lambda h: truss_decomposition(h)[1]),
+    )
+
+
+def _shuffled_gnp(n, p, seed):
+    edges = list(gnp_random_graph(n, p, seed).edges())
+    random.Random(seed).shuffle(edges)
+    return build_graph([(v, u) for u, v in edges], node_count=n)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        figure_left_graph,
+        lambda: bipartite_apex(3),
+        lambda: ladder_gadget(3),
+        lambda: blowup(complete_graph(4), 2).materialize(),
+        lambda: disjoint_union(complete_graph(4), gnp_random_graph(9, 0.5, 4)),
+        lambda: _shuffled_gnp(10, 0.5, 8),
+    ],
+    ids=["figure_left", "bipartite_apex_3", "ladder_3", "blowup_k4_q2", "union_k4_gnp", "shuffled_gnp"],
+)
+def test_outputs_do_not_depend_on_neighbor_map_order(make):
+    """Neighbor maps iterate in edge-id order; every output is the same
+    under any other iteration order, the old ascending-neighbor one too."""
+    g = make()
+    expected = _order_sensitive_outputs(g)
+    rng = random.Random(5)
+    for arrange in (reversed, lambda items: rng.sample(items, len(items)), sorted):
+        maps = [dict(arrange(list(g.neighbors(u).items()))) for u in g.nodes()]
+        assert _order_sensitive_outputs(Graph(g.n, maps, list(g.edges()))) == expected
 
 
 # ----------------------------------------------------------- degeneracy ----
