@@ -5,9 +5,13 @@ Results go to stdout (or --out) and are byte-deterministic given the same
 input, flags, and seed; a one-line run report with wall time goes to stderr.
 Exit codes: 0 success, 1 I/O or data errors, 2 usage errors.
 
-The argument parser is built once per process, so in-process callers of
-``main`` pay for it once.  Line outputs are streamed with one ``writelines``
-over a generator, never built as one string.
+Each analysis subcommand is a small computation ``(g, args) -> (lines,
+report fields)``, and each graph builder a function returning the built
+graph; one runner per kind loads the input, times the computation, writes
+the output and reports, so those steps are written once.  Line outputs are
+streamed with one ``writelines``, never built as one string.  The argument
+parser, runners included, is built once per process, so in-process callers
+of ``main`` pay for it once.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import IO, Callable, Iterator, Sequence
 
 from .approx import estimate_trussness, threshold_estimate, threshold_rounds
@@ -33,36 +38,13 @@ from .triangles import compute_supports, list_triangles
 from .truss import _peel_from_supports, truss_decomposition
 
 
-@dataclass
-class RunReport:
-    """One-line summary of a subcommand run, printed to stderr."""
-
-    command: str
-    n: int | None = None
-    m: int | None = None
-    triangles: int | None = None
-    result: str | None = None
-    seed: int | None = None
-    config: str | None = None
-    seconds: float | None = None
-
-    def emit(self) -> None:
-        parts = [f"command={self.command}"]
-        if self.n is not None:
-            parts.append(f"n={self.n}")
-        if self.m is not None:
-            parts.append(f"m={self.m}")
-        if self.triangles is not None:
-            parts.append(f"triangles={self.triangles}")
-        if self.result is not None:
-            parts.append(f"result={self.result}")
-        if self.seed is not None:
-            parts.append(f"seed={self.seed}")
-        if self.config:
-            parts.append(self.config)
-        if self.seconds is not None:
-            parts.append(f"seconds={self.seconds:.6f}")
-        print("# report " + " ".join(parts), file=sys.stderr)
+def _report(command: str, **fields) -> None:
+    """Print a run's one-line report to stderr, its fields in the given order."""
+    print(
+        f"# report command={command}",
+        *(f"{key}={value}" for key, value in fields.items()),
+        file=sys.stderr,
+    )
 
 
 @contextmanager
@@ -74,36 +56,68 @@ def _open_out(path: str | None) -> Iterator[IO[str]]:
             yield fh
 
 
-def _unit_open_interval(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (0.0 < value < 1.0):
-        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
-    return value
+def _analysis(command: str, compute: Callable) -> Callable:
+    """The runner of a computation on the input graph.
+
+    ``compute(g, args)`` returns the output lines and the report fields; only
+    it is timed, and the lines are written after the clock stops.
+    """
+
+    def run(args) -> None:
+        g, _ = load_graph(args.input)
+        start = time.perf_counter()
+        lines, fields = compute(g, args)
+        elapsed = time.perf_counter() - start
+        with _open_out(args.out) as out:
+            out.writelines(lines)
+        _report(command, n=g.n, m=g.m, **fields, seconds=f"{elapsed:.6f}")
+
+    return run
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    if value == math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return value
+def _builder(command: str, build: Callable) -> Callable:
+    """The runner of a graph construction; the report gives the built graph's
+    n and m, and no time.
+
+    ``build(source, args)`` gets the input graph (None for a command without
+    one) and returns the built graph, its spurious flags or None, and the
+    report fields.
+    """
+
+    def run(args) -> None:
+        source = load_graph(args.input)[0] if "input" in args else None
+        g, flags, fields = build(source, args)
+        with _open_out(args.out) as out:
+            write_edge_list(out, g, flags)
+        _report(command, n=g.n, m=g.m, **fields)
+
+    return run
 
 
-def _probability(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (0.0 <= value <= 1.0):
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
-    return value
+def _ranged(convert: Callable[[str], float], *rules: tuple[Callable, str]) -> Callable:
+    """An argparse type: ``convert`` the text, then hold the value to each
+    ``(test, requirement)`` rule in turn."""
+
+    def parse(text: str) -> float:
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}"
+            ) from None
+        for test, requirement in rules:
+            if not test(value):
+                raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    return parse
+
+
+_unit_open_interval = _ranged(float, (lambda v: 0.0 < v < 1.0, "in (0, 1)"))
+_positive_float = _ranged(float, (lambda v: v > 0.0, "positive"), (math.isfinite, "finite"))
+_probability = _ranged(float, (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"))
+_positive_int = _ranged(int, (lambda v: v >= 1, "positive"))
+_count = _ranged(int, (lambda v: v >= 0, "non-negative"))
 
 
 def _float_list(item: Callable[[str], float]) -> Callable[[str], list[float]]:
@@ -141,226 +155,121 @@ def _add_out(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, metavar="PATH", help="write output to PATH")
 
 
-# ---------------------------------------------------------------- truss ----
+# --------------------------------------------------------- computations ----
 
 
-def cmd_truss_exact(args) -> int:
-    g, _ = load_graph(args.input)
-    start = time.perf_counter()
+def _truss_exact(g, args):
     decomp, _ = truss_decomposition(g)
-    elapsed = time.perf_counter() - start
-    with _open_out(args.out) as out:
-        print(decomp.trussness, file=out)
-    RunReport("truss exact", g.n, g.m, result=str(decomp.trussness), seconds=elapsed).emit()
-    return 0
+    return [f"{decomp.trussness}\n"], {"result": decomp.trussness}
 
 
-def cmd_truss_decompose(args) -> int:
-    g, _ = load_graph(args.input)
-    start = time.perf_counter()
+def _truss_decompose(g, args):
     decomp, _ = truss_decomposition(g)
-    elapsed = time.perf_counter() - start
-    with _open_out(args.out) as out:
-        out.writelines(
-            f"{u} {v} {t}\n" for (u, v), t in zip(g.edges(), decomp.edge_trussness)
-        )
-    RunReport("truss decompose", g.n, g.m, result=str(decomp.trussness), seconds=elapsed).emit()
-    return 0
+    lines = (f"{u} {v} {t}\n" for (u, v), t in zip(g.edges(), decomp.edge_trussness))
+    return lines, {"result": decomp.trussness}
 
 
-def cmd_truss_approx(args) -> int:
-    g, _ = load_graph(args.input)
-    start = time.perf_counter()
+def _truss_approx(g, args):
     result = estimate_trussness(
         g, args.epsilon, zeta=args.zeta, seed=args.seed, pseudocode_growth=args.pseudocode_growth
     )
-    elapsed = time.perf_counter() - start
-    with _open_out(args.out) as out:
-        out.write(
-            f"estimate {result.estimate}\n"
-            f"exact {'true' if result.exact else 'false'}\n"
-            f"iterations {result.iterations}\n"
-            f"fallback-only {'true' if result.all_rounds_fell_back else 'false'}\n"
-        )
-        out.writelines(
-            f"round x={x} marker={'hit' if hit else 'miss'}\n" for x, hit in result.trace
-        )
-    RunReport(
-        "truss approx",
-        g.n,
-        g.m,
-        result=str(result.estimate),
-        seed=args.seed,
-        config=f"epsilon={args.epsilon} zeta={args.zeta}",
-        seconds=elapsed,
-    ).emit()
-    return 0
+    lines = [
+        f"estimate {result.estimate}\n",
+        f"exact {'true' if result.exact else 'false'}\n",
+        f"iterations {result.iterations}\n",
+        f"fallback-only {'true' if result.all_rounds_fell_back else 'false'}\n",
+        *(f"round x={x} marker={'hit' if hit else 'miss'}\n" for x, hit in result.trace),
+    ]
+    fields = {"result": result.estimate, "seed": args.seed, "epsilon": args.epsilon,
+              "zeta": args.zeta}
+    return lines, fields
 
 
-def cmd_truss_threshold(args) -> int:
-    g, _ = load_graph(args.input)
-    start = time.perf_counter()
+def _truss_threshold(g, args):
     rounds = threshold_rounds(g, args.epsilon)
-    elapsed = time.perf_counter() - start
     estimate = max((r.density for r in rounds), default=Fraction(0))
-    with _open_out(args.out) as out:
-        out.write(f"estimate {estimate}\n")
-        out.writelines(
-            f"round {i} m={r.edges} T={r.triangles} density={r.density}\n"
-            for i, r in enumerate(rounds, start=1)
-        )
-    RunReport(
-        "truss threshold",
-        g.n,
-        g.m,
-        result=str(estimate),
-        config=f"epsilon={args.epsilon}",
-        seconds=elapsed,
-    ).emit()
-    return 0
+    lines = chain(
+        [f"estimate {estimate}\n"],
+        (f"round {i} m={r.edges} T={r.triangles} density={r.density}\n"
+         for i, r in enumerate(rounds, start=1)),
+    )
+    return lines, {"result": estimate, "epsilon": args.epsilon}
 
 
-# ------------------------------------------------------------ triangles ----
+def _triangles_count(g, args):
+    count = compute_supports(g).triangle_count
+    return [f"{count}\n"], {"triangles": count}
 
 
-def cmd_triangles_count(args) -> int:
-    g, _ = load_graph(args.input)
-    start = time.perf_counter()
-    table = compute_supports(g)
-    elapsed = time.perf_counter() - start
-    with _open_out(args.out) as out:
-        print(table.triangle_count, file=out)
-    RunReport("triangles count", g.n, g.m, table.triangle_count, seconds=elapsed).emit()
-    return 0
-
-
-def cmd_triangles_list(args) -> int:
-    g, _ = load_graph(args.input)
+def _triangles_list(g, args):
     rows: list[tuple[int, int, int]] = []
-    start = time.perf_counter()
     count = list_triangles(g, lambda t: rows.append(t.nodes))
-    elapsed = time.perf_counter() - start
     rows.sort()
-    with _open_out(args.out) as out:
-        out.writelines(f"{a} {b} {c}\n" for a, b, c in rows)
-    RunReport("triangles list", g.n, g.m, count, seconds=elapsed).emit()
-    return 0
+    return (f"{a} {b} {c}\n" for a, b, c in rows), {"triangles": count}
 
 
-# ---------------------------------------------------------------- order ----
+def _node_order(g, args):
+    info = degeneracy_order(g)
+    # The order is one line; its tokens are joined, the lines are not.
+    lines = (f"degeneracy {info.degeneracy}\n", " ".join(map(str, info.order)), "\n")
+    return lines, {"result": info.degeneracy}
 
 
-def cmd_order(args) -> int:
-    g, _ = load_graph(args.input)
-    start = time.perf_counter()
-    if args.edges:
-        decomp, order = truss_decomposition(g)
-        elapsed = time.perf_counter() - start
-        with _open_out(args.out) as out:
-            out.write(f"trussness {decomp.trussness}\n")
-            out.writelines(
-                f"{eid} {u} {v} {fwd}\n"
-                for eid, (u, v), fwd in zip(
-                    order.order, map(g.pair, order.order), order.forward_support
-                )
-            )
-        RunReport("order --edges", g.n, g.m, result=str(decomp.trussness), seconds=elapsed).emit()
-    else:
-        info = degeneracy_order(g)
-        elapsed = time.perf_counter() - start
-        with _open_out(args.out) as out:
-            # The order is one line; its tokens are joined, the lines are not.
-            out.writelines(
-                (f"degeneracy {info.degeneracy}\n", " ".join(map(str, info.order)), "\n")
-            )
-        RunReport("order", g.n, g.m, result=str(info.degeneracy), seconds=elapsed).emit()
-    return 0
+def _edge_order(g, args):
+    decomp, order = truss_decomposition(g)
+    lines = chain(
+        [f"trussness {decomp.trussness}\n"],
+        (f"{eid} {u} {v} {fwd}\n"
+         for eid, (u, v), fwd in zip(order.order, map(g.pair, order.order),
+                                     order.forward_support)),
+    )
+    return lines, {"result": decomp.trussness}
 
 
-# --------------------------------------------------------------- sample ----
-
-
-def cmd_sample(args) -> int:
-    g, _ = load_graph(args.input)
+def _sample(g, args):
     cfg = SamplerConfig(epsilon=args.epsilon, zeta=args.zeta, seed=args.seed)
-    start = time.perf_counter()
     info = degeneracy_order(g)
     wedges = forward_wedge_count(g, info)
     sample = sample_hypergraph(g, info, cfg)
-    elapsed = time.perf_counter() - start
-    with _open_out(args.out) as out:
-        out.write(
-            f"# m={g.m} wedges={wedges} p={sample.realized_p:.10g}"
-            f" fallback={'true' if sample.fell_back_to_exact else 'false'}"
-            f" hyperedges={len(sample.hyperedges)} seed={sample.rng_seed}\n"
-        )
-        out.writelines(f"{a} {b} {c}\n" for a, b, c in sample.hyperedges)
-    RunReport(
-        "sample",
-        g.n,
-        g.m,
-        result=str(len(sample.hyperedges)),
-        seed=args.seed,
-        config=f"epsilon={args.epsilon} zeta={args.zeta}",
-        seconds=elapsed,
-    ).emit()
-    return 0
+    lines = chain(
+        [f"# m={g.m} wedges={wedges} p={sample.realized_p:.10g}"
+         f" fallback={'true' if sample.fell_back_to_exact else 'false'}"
+         f" hyperedges={len(sample.hyperedges)} seed={sample.rng_seed}\n"],
+        (f"{a} {b} {c}\n" for a, b, c in sample.hyperedges),
+    )
+    fields = {"result": len(sample.hyperedges), "seed": args.seed, "epsilon": args.epsilon,
+              "zeta": args.zeta}
+    return lines, fields
 
 
-# --------------------------------------------------------------- gadget ----
+# ----------------------------------------------------------- builders ----
 
 
-def cmd_gadget_blowup(args) -> int:
-    g, _ = load_graph(args.input)
-    view = blowup(g, args.q)
-    mat = view.materialize(max_edges=args.max_edges)
-    with _open_out(args.out) as out:
-        write_edge_list(out, mat)
-    RunReport("gadget blowup", mat.n, mat.m, config=f"q={args.q}").emit()
-    return 0
+def _gadget_blowup(g, args):
+    return blowup(g, args.q).materialize(max_edges=args.max_edges), None, {"q": args.q}
 
 
-def cmd_gadget_spurious(args) -> int:
-    g, _ = load_graph(args.input)
+def _gadget_spurious(g, args):
     augmented = add_spurious_cliques(g, args.x)
-    with _open_out(args.out) as out:
-        write_edge_list(out, augmented.graph, augmented.is_spurious)
-    RunReport(
-        "gadget spurious",
-        augmented.graph.n,
-        augmented.graph.m,
-        config=f"x={args.x} cliques={augmented.spurious_clique_count}",
-    ).emit()
-    return 0
+    fields = {"x": args.x, "cliques": augmented.spurious_clique_count}
+    return augmented.graph, augmented.is_spurious, fields
 
 
-def cmd_gadget_ladder(args) -> int:
+def _gadget_bipartite_apex(_, args):
+    return bipartite_apex(args.side), None, {"side": args.side}
+
+
+def _gen_random(_, args):
+    return gnp_random_graph(args.n, args.p, args.seed), None, {"seed": args.seed, "p": args.p}
+
+
+def cmd_gadget_ladder(args) -> None:
     g = ladder_gadget(args.x)
     values = sorted(set(truss_decomposition(g)[0].edge_trussness))
     with _open_out(args.out) as out:
         print(f"# trussness values achieved: {','.join(str(v) for v in values)}", file=out)
         write_edge_list(out, g)
-    RunReport("gadget ladder", g.n, g.m, config=f"x={args.x}").emit()
-    return 0
-
-
-def cmd_gadget_bipartite_apex(args) -> int:
-    g = bipartite_apex(args.side)
-    with _open_out(args.out) as out:
-        write_edge_list(out, g)
-    RunReport("gadget bipartite-apex", g.n, g.m, config=f"side={args.side}").emit()
-    return 0
-
-
-# ------------------------------------------------------------------ gen ----
-
-
-def cmd_gen_random(args) -> int:
-    g = gnp_random_graph(args.n, args.p, args.seed)
-    with _open_out(args.out) as out:
-        write_edge_list(out, g)
-    RunReport("gen random", g.n, g.m, seed=args.seed, config=f"p={args.p}").emit()
-    return 0
+    _report("gadget ladder", n=g.n, m=g.m, x=args.x)
 
 
 # ---------------------------------------------------------------- bench ----
@@ -399,6 +308,8 @@ def _corpus_paths(source: str) -> list[str]:
                 if not line or line.startswith("#"):
                     continue
                 paths.append(line if os.path.isabs(line) else os.path.join(base, line))
+        if not paths:
+            raise FileNotFoundError(f"no paths in corpus manifest {source}")
         return paths
     raise FileNotFoundError(f"corpus {source} not found")
 
@@ -499,7 +410,7 @@ def _bench_rows_for_graph(
     return rows
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> None:
     paths = _corpus_paths(args.corpus)
     estimators = [e for e in args.estimators.split(",") if e]
     for est in estimators:
@@ -528,12 +439,7 @@ def cmd_bench(args) -> int:
         writer.writerow(BENCH_COLUMNS)
         for block in blocks:
             writer.writerows(block)
-    RunReport(
-        "bench",
-        result=f"{len(graphs)} graphs",
-        config=f"estimators={','.join(estimators)}",
-    ).emit()
-    return 0
+    _report("bench", result=f"{len(graphs)} graphs", estimators=",".join(estimators))
 
 
 # ----------------------------------------------------------------- main ----
@@ -558,12 +464,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = truss_sub.add_parser("exact", help="print the graph trussness")
     _add_input(p)
     _add_out(p)
-    p.set_defaults(func=cmd_truss_exact)
+    p.set_defaults(func=_analysis("truss exact", _truss_exact))
 
     p = truss_sub.add_parser("decompose", help="print per-edge trussness")
     _add_input(p)
     _add_out(p)
-    p.set_defaults(func=cmd_truss_decompose)
+    p.set_defaults(func=_analysis("truss decompose", _truss_decompose))
 
     p = truss_sub.add_parser("approx", help="randomized trussness estimate")
     _add_input(p)
@@ -576,30 +482,37 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="grow the marker size by (1+epsilon) instead of (1+epsilon/6)",
     )
-    p.set_defaults(func=cmd_truss_approx)
+    p.set_defaults(func=_analysis("truss approx", _truss_approx))
 
     p = truss_sub.add_parser("threshold", help="deterministic (3+eps) estimate")
     _add_input(p)
     _add_out(p)
     p.add_argument("--epsilon", type=_positive_float, default=0.1)
-    p.set_defaults(func=cmd_truss_threshold)
+    p.set_defaults(func=_analysis("truss threshold", _truss_threshold))
 
     triangles = sub.add_parser("triangles", help="triangle counting and listing")
     tri_sub = triangles.add_subparsers(dest="subcommand", required=True)
     p = tri_sub.add_parser("count")
     _add_input(p)
     _add_out(p)
-    p.set_defaults(func=cmd_triangles_count)
+    p.set_defaults(func=_analysis("triangles count", _triangles_count))
     p = tri_sub.add_parser("list")
     _add_input(p)
     _add_out(p)
-    p.set_defaults(func=cmd_triangles_list)
+    p.set_defaults(func=_analysis("triangles list", _triangles_list))
 
     p = sub.add_parser("order", help="degeneracy order (or exact truss order)")
     _add_input(p)
     _add_out(p)
-    p.add_argument("--edges", action="store_true", help="order edges by min-support peeling")
-    p.set_defaults(func=cmd_order)
+    # --edges selects the computation, and with it the reported command.
+    p.add_argument(
+        "--edges",
+        dest="func",
+        action="store_const",
+        const=_analysis("order --edges", _edge_order),
+        default=_analysis("order", _node_order),
+        help="order edges by min-support peeling",
+    )
 
     p = sub.add_parser("sample", help="sample the triangle hypergraph")
     _add_input(p)
@@ -607,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=_unit_open_interval, default=0.5)
     p.add_argument("--zeta", type=_positive_float, default=110.0)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_sample)
+    p.set_defaults(func=_analysis("sample", _sample))
 
     gadget = sub.add_parser("gadget", help="graph constructions")
     gadget_sub = gadget.add_subparsers(dest="subcommand", required=True)
@@ -615,34 +528,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = gadget_sub.add_parser("blowup", help="materialized q-fold blow-up")
     _add_input(p)
     _add_out(p)
-    p.add_argument("-q", type=int, required=True)
+    p.add_argument("-q", type=_positive_int, required=True)
     p.add_argument("--max-edges", type=int, default=10_000_000)
-    p.set_defaults(func=cmd_gadget_blowup)
+    p.set_defaults(func=_builder("gadget blowup", _gadget_blowup))
 
     p = gadget_sub.add_parser("spurious", help="append disjoint marker cliques")
     _add_input(p)
     _add_out(p)
-    p.add_argument("-x", type=int, required=True)
-    p.set_defaults(func=cmd_gadget_spurious)
+    p.add_argument("-x", type=_count, required=True)
+    p.set_defaults(func=_builder("gadget spurious", _gadget_spurious))
 
     p = gadget_sub.add_parser("ladder", help="clique with graded pendants")
     _add_out(p)
-    p.add_argument("-x", type=int, required=True)
+    p.add_argument("-x", type=_positive_int, required=True)
     p.set_defaults(func=cmd_gadget_ladder)
 
     p = gadget_sub.add_parser("bipartite-apex", help="complete bipartite plus apex")
     _add_out(p)
-    p.add_argument("-s", "--side", dest="side", type=int, required=True)
-    p.set_defaults(func=cmd_gadget_bipartite_apex)
+    p.add_argument("-s", "--side", dest="side", type=_positive_int, required=True)
+    p.set_defaults(func=_builder("gadget bipartite-apex", _gadget_bipartite_apex))
 
     gen = sub.add_parser("gen", help="graph generators")
     gen_sub = gen.add_subparsers(dest="subcommand", required=True)
     p = gen_sub.add_parser("random", help="Erdos-Renyi G(n, p)")
     _add_out(p)
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_count)
     p.add_argument("p", type=_probability)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_gen_random)
+    p.set_defaults(func=_builder("gen random", _gen_random))
 
     p = sub.add_parser("bench", help="accuracy/runtime table over a corpus")
     _add_out(p)
@@ -664,10 +577,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        args.func(args)
     except (OSError, ValueError) as exc:
         print(f"trusslab: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

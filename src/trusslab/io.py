@@ -80,10 +80,3 @@ def write_edge_list(fh: IO[str], g: Graph, spurious: Sequence[bool] | None = Non
         for eid, (u, v) in enumerate(g.edges())
     )
 
-
-def edge_list_text(g: Graph, spurious: Sequence[bool] | None = None) -> str:
-    import io as _io
-
-    buf = _io.StringIO()
-    write_edge_list(buf, g, spurious)
-    return buf.getvalue()

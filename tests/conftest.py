@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import io
+from typing import Sequence
+
 import pytest
 
 from trusslab.gadgets import (
@@ -13,6 +16,7 @@ from trusslab.gadgets import (
     ladder_gadget,
 )
 from trusslab.graph import Graph, build_graph
+from trusslab.io import write_edge_list
 from trusslab.sampling import gnp_random_graph
 
 # Reference graph with a 4-clique nested in a larger triangle-connected
@@ -43,6 +47,13 @@ def figure_left() -> Graph:
 @pytest.fixture
 def figure_right() -> Graph:
     return bipartite_apex(FIGURE_RIGHT_SIDE)
+
+
+def edge_list_text(g: Graph, spurious: Sequence[bool] | None = None) -> str:
+    """The edge-list file text of ``g``, as ``write_edge_list`` writes it."""
+    buf = io.StringIO()
+    write_edge_list(buf, g, spurious)
+    return buf.getvalue()
 
 
 def random_corpus(count: int, max_n: int, p_grid, base_seed: int):

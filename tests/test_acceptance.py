@@ -20,6 +20,7 @@ import oracles
 from conftest import (
     FIGURE_LEFT_TRUSSNESS,
     FIGURE_RIGHT_TRUSSNESS,
+    edge_list_text,
     figure_left_graph,
     gadget_graphs,
 )
@@ -27,7 +28,7 @@ from trusslab.approx import estimate_trussness, hypergraph_degeneracy_order, thr
 from trusslab.cli import main
 from trusslab.gadgets import bipartite_apex, blowup, complete_graph
 from trusslab.graph import degeneracy_order
-from trusslab.io import edge_list_text, write_edge_list
+from trusslab.io import write_edge_list
 from trusslab.sampling import (
     HypergraphSample,
     geometric_skip,

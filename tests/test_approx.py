@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from conftest import FIGURE_LEFT_TRUSSNESS, figure_left_graph, gadget_graphs
+from conftest import FIGURE_LEFT_TRUSSNESS, edge_list_text, figure_left_graph, gadget_graphs
 from oracles import reference_estimate_trussness, reference_threshold_rounds
 from test_cli import run_cli
 from test_graph import small_graphs
@@ -28,7 +28,6 @@ from trusslab.gadgets import (
     spurious_clique_budget,
 )
 from trusslab.graph import build_graph, degeneracy_order, forward_wedge_count
-from trusslab.io import edge_list_text
 from trusslab.sampling import HypergraphSample, SamplerConfig, gnp_random_graph
 from trusslab.triangles import compute_supports, list_triangles
 from trusslab.truss import is_exact_truss_order, truss_decomposition, trussness

@@ -1,14 +1,15 @@
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import trusslab
-from conftest import FIGURE_LEFT_EDGES
+from conftest import FIGURE_LEFT_EDGES, edge_list_text
 from trusslab.cli import build_parser, main
 from trusslab.gadgets import complete_graph
-from trusslab.io import EdgeListError, edge_list_text, load_graph, parse_edge_lines
+from trusslab.io import EdgeListError, load_graph, parse_edge_lines
 from trusslab.truss import trussness
 
 
@@ -34,6 +35,41 @@ def test_truss_exact_on_k5(tmp_path, capsys):
     assert code == 0
     assert out == "3\n"
     assert err.startswith("# report command=truss exact")
+
+
+# Every subcommand's stderr report, ``seconds=`` masked; the input is K5 and
+# the bench corpus holds K5 and a path.
+REPORTS = [
+    (["truss", "exact", "{k5}"], "truss exact n=5 m=10 result=3 seconds=*"),
+    (["truss", "decompose", "{k5}"], "truss decompose n=5 m=10 result=3 seconds=*"),
+    (["truss", "approx", "--epsilon", "0.3", "--seed", "5", "{k5}"],
+     "truss approx n=5 m=10 result=3 seed=5 epsilon=0.3 zeta=110.0 seconds=*"),
+    (["truss", "threshold", "{k5}"], "truss threshold n=5 m=10 result=1 epsilon=0.1 seconds=*"),
+    (["triangles", "count", "{k5}"], "triangles count n=5 m=10 triangles=10 seconds=*"),
+    (["triangles", "list", "{k5}"], "triangles list n=5 m=10 triangles=10 seconds=*"),
+    (["order", "{k5}"], "order n=5 m=10 result=4 seconds=*"),
+    (["order", "--edges", "{k5}"], "order --edges n=5 m=10 result=3 seconds=*"),
+    (["sample", "--zeta", "0.05", "--seed", "2", "{k5}"],
+     "sample n=5 m=10 result=10 seed=2 epsilon=0.5 zeta=0.05 seconds=*"),
+    (["gadget", "blowup", "-q", "2", "{k5}"], "gadget blowup n=10 m=40 q=2"),
+    (["gadget", "spurious", "-x", "1", "{k5}"], "gadget spurious n=17 m=22 x=1 cliques=4"),
+    (["gadget", "ladder", "-x", "4"], "gadget ladder n=8 m=16 x=4"),
+    (["gadget", "bipartite-apex", "-s", "4"], "gadget bipartite-apex n=9 m=24 side=4"),
+    (["gen", "random", "20", "0.3", "--seed", "9"], "gen random n=20 m=49 seed=9 p=0.3"),
+    (["bench", "--corpus", "{corpus}", "--no-timing"],
+     "bench result=2 graphs estimators=exact,approx,threshold"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, report", REPORTS, ids=[" ".join(a for a in argv if "{" not in a) for argv, _ in REPORTS]
+)
+def test_report_line_of_every_subcommand(tmp_path, capsys, argv, report):
+    paths = {"k5": write_graph(tmp_path, "k5.edges", k5_text()), "corpus": bench_corpus(tmp_path)}
+    argv = [a.format(**paths) for a in argv]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert re.sub(r"seconds=\d+\.\d{6}", "seconds=*", err) == f"# report command={report}\n"
 
 
 def test_truss_decompose_lines(tmp_path, capsys):
@@ -304,6 +340,32 @@ def test_non_finite_flag_is_usage_error(tmp_path, capsys, argv):
     assert f"got {argv[-1]}" in err
 
 
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["gadget", "blowup", "-q", "0", "{k3}"], "0"),
+        (["gadget", "spurious", "-x", "-1", "{k3}"], "-1"),
+        (["gadget", "ladder", "-x", "0"], "0"),
+        (["gadget", "bipartite-apex", "-s", "0"], "0"),
+        (["gen", "random", "-3", "0.5"], "-3"),
+    ],
+)
+def test_integer_flag_out_of_range_is_usage_error(tmp_path, capsys, argv, value):
+    k3 = write_graph(tmp_path, "k3.edges", edge_list_text(complete_graph(3)))
+    code, out, err = run_cli(capsys, *(a.format(k3=k3) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert f"got {value}" in err
+
+
+def test_spurious_x_over_the_input_cap_is_data_error(tmp_path, capsys):
+    path = write_graph(tmp_path, "k5.edges", k5_text())
+    code, out, err = run_cli(capsys, "gadget", "spurious", "-x", "99", path)
+    assert code == 1
+    assert out == ""
+    assert err == "trusslab: error: x=99 exceeds the sparsity cap 7 for m=10\n"
+
+
 # The least positive float: the first sampling probability it yields is
 # subnormal, or 0 on a wedge-rich graph.
 TINY = "5e-324"
@@ -406,6 +468,15 @@ def test_bench_csv_shape(tmp_path, capsys):
 def test_bench_missing_corpus_is_io_error(capsys):
     assert main(["bench", "--corpus", "/no/such/corpus"]) == 1
     capsys.readouterr()
+
+
+def test_bench_empty_manifest_is_io_error(tmp_path, capsys):
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("# no graphs\n\n")
+    code, out, err = run_cli(capsys, "bench", "--corpus", str(manifest))
+    assert code == 1
+    assert out == ""
+    assert err == f"trusslab: error: no paths in corpus manifest {manifest}\n"
 
 
 def test_bench_deterministic_without_timing(tmp_path, capsys):
