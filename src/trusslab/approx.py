@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence, Sized
 
 from .gadgets import (
     add_spurious_cliques,
@@ -59,30 +61,39 @@ def hypergraph_degeneracy_order(sample: HypergraphSample) -> ApproxTrussOrder:
 
     Removing a vertex deletes its incident hyperedges, decrementing the two
     other endpoints of each; on the full triangle hypergraph this replays
-    exact min-support edge peeling step for step.
+    exact min-support edge peeling step for step.  Collects every pop of
+    ``_hypergraph_peel``.
+    """
+    pops = list(_hypergraph_peel(sample))
+    return ApproxTrussOrder([v for v, _ in pops], [d for _, d in pops], sample)
+
+
+def _hypergraph_peel(sample: HypergraphSample) -> Iterator[tuple[int, int]]:
+    """The pops (vertex, residual degree) of the min-degree peel, lazily.
+
+    Each pop is yielded before its hyperedges are removed, so a consumer
+    that stops early pays for the degree count, the queue and the pops it
+    took.  The incidence lists wait for the first pop that removes a
+    hyperedge, so a peel read only up to such a pop never builds them.
     """
     m = sample.vertex_count
     hyperedges = sample.hyperedges
-    degree = [0] * m
-    incidence: list[list[int]] = [[] for _ in range(m)]
-    for idx, (a, b, c) in enumerate(hyperedges):
-        degree[a] += 1
-        degree[b] += 1
-        degree[c] += 1
-        incidence[a].append(idx)
-        incidence[b].append(idx)
-        incidence[c].append(idx)
-    queue = BucketQueue(degree)
+    degree = Counter(chain.from_iterable(hyperedges))
+    queue = BucketQueue(map(degree.__getitem__, range(m)))
+    incidence: list[list[int]] | None = None
     live = [True] * len(hyperedges)
-    order: list[int] = []
-    forward: list[int] = []
     for _ in range(m):
         v, d = queue.pop_min()
-        order.append(v)
-        forward.append(d)
+        yield v, d
         # d counts v's live hyperedges; at 0 there is nothing to remove.
         if not d:
             continue
+        if incidence is None:
+            incidence = [[] for _ in range(m)]
+            for idx, (a, b, c) in enumerate(hyperedges):
+                incidence[a].append(idx)
+                incidence[b].append(idx)
+                incidence[c].append(idx)
         # Both other endpoints of a live hyperedge are live; v itself is
         # popped, so the queue skips it.
         batch: list[int] = []
@@ -91,7 +102,6 @@ def hypergraph_degeneracy_order(sample: HypergraphSample) -> ApproxTrussOrder:
                 live[idx] = False
                 batch.extend(hyperedges[idx])
         queue.decrease(batch)
-    return ApproxTrussOrder(order, forward, sample)
 
 
 def approx_truss_order(g: Graph, cfg: SamplerConfig) -> ApproxTrussOrder:
@@ -123,22 +133,30 @@ def approx_order_holds(g: Graph, order: Sequence[int], epsilon: float) -> bool:
     )
 
 
-def marker_test(order: "ApproxTrussOrder | Sequence[int]", spurious: Sequence[bool]) -> bool:
-    """True iff some spurious edge precedes the last original edge."""
+def marker_test(
+    order: "ApproxTrussOrder | Iterable[int]", spurious: Sequence[bool]
+) -> bool:
+    """True iff some spurious edge precedes the last original edge.
+
+    ``order`` is a permutation of the edge ids, as a sequence or lazily as
+    an iterator; one with a length must match ``spurious``.  The test reads
+    the order only up to the pop that decides it: the first spurious edge
+    hits iff some original edge is still to come, and once every original
+    edge is out the test misses.
+    """
     ids = order.order if isinstance(order, ApproxTrussOrder) else order
-    if len(ids) != len(spurious):
+    if isinstance(ids, Sized) and len(ids) != len(spurious):
         raise ValueError(f"order has {len(ids)} edges but {len(spurious)} labels given")
-    first_spurious = None
-    last_original = None
-    for pos, eid in enumerate(ids):
-        if spurious[eid]:
-            if first_spurious is None:
-                first_spurious = pos
-        else:
-            last_original = pos
-    if first_spurious is None or last_original is None:
+    originals = spurious.count(False)
+    if not originals:
         return False
-    return first_spurious < last_original
+    for eid in ids:
+        if spurious[eid]:
+            return True
+        originals -= 1
+        if not originals:
+            return False
+    return False
 
 
 @dataclass(frozen=True)
@@ -152,7 +170,9 @@ class EstimateResult:
     order came from the exact-enumeration fallback, the whole run was
     deterministic and seed-independent.  Rounds whose fallback is certain
     are decided in closed form from one exact decomposition of the input,
-    with the outcome an exact peel of the augmented graph would give.
+    with the outcome an exact peel of the augmented graph would give.  A
+    sampled round's outcome is read off the prefix of its sample's peel
+    that decides ``marker_test``; the rest of that peel is never run.
     """
 
     estimate: Fraction
@@ -166,18 +186,21 @@ class EstimateResult:
         return float(self.estimate)
 
 
-def _round_order(g: Graph, eps: float, zeta: float, seed: int) -> tuple[list[int] | None, bool]:
+def _round_order(
+    g: Graph, eps: float, zeta: float, seed: int
+) -> tuple[Iterator[int] | None, bool]:
     """One marker round's edge order on the random path.
 
-    Samples the triangle hypergraph and peels the sample.  Returns
-    (order, fell_back); the order is None when the sampler fell back, since
+    Samples the triangle hypergraph and returns (order, fell_back).  The
+    order is an iterator over the sample's peel, which pops only as far as
+    ``marker_test`` reads it; it is None when the sampler fell back, since
     the exact order's marker outcome is known in closed form.
     """
     cfg = SamplerConfig(epsilon=eps, zeta=zeta, seed=seed)
     sample = sample_hypergraph(g, degeneracy_order(g), cfg)
     if sample.fell_back_to_exact:
         return None, True
-    return hypergraph_degeneracy_order(sample).order, False
+    return (v for v, _ in _hypergraph_peel(sample)), False
 
 
 def _ceil_fraction(value: Fraction) -> int:

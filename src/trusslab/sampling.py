@@ -115,16 +115,20 @@ def _skip_pass(
     ``gap`` is the offset of the next probed wedge from the start of the
     current row.  A row of L later neighbors holds L(L-1)/2 pairs; counted
     back from its end, the pairs of index i = L-2-k are offsets
-    k(k+1)/2 .. k(k+1)/2 + k, so k and then j follow from one isqrt.
-    Each probe costs O(1), and each pass O(rows + probes).  A wedge is a
-    pair of edges, so a first skip past m(m-1)/2 >= W walks no row.
+    k(k+1)/2 .. k(k+1)/2 + k, so k and then j follow from one isqrt.  The
+    pairs (i, i+1..L-1) form segment i: the probes after the decoded one
+    step j by their skips and reuse i's neighbor map until j passes L-1,
+    so only a probe that enters a new segment decodes.  Each probe costs
+    O(1), and each pass O(n + rows + probes).  A wedge is a pair of edges,
+    so a first skip past m(m-1)/2 >= W walks no row.
     """
     out: list[tuple[int, int, int]] = []
-    keep, adj, isqrt = out.append, g.neighbors, math.isqrt
+    keep, isqrt = out.append, math.isqrt
     skip = _skips(p, rng).__next__
     gap = skip() - 1
     if gap >= g.m * (g.m - 1) // 2:
         return out
+    nbrs = list(map(g.neighbors, range(g.n)))
     for _, later, ids in rows:
         last = len(later) - 1
         size = last * (last + 1) // 2
@@ -133,10 +137,14 @@ def _skip_pass(
             k = (isqrt(8 * back + 1) - 1) // 2
             i = last - 1 - k
             j = last - back + k * (k + 1) // 2
-            closing = adj(later[i]).get(later[j])
-            if closing is not None:
-                keep(sorted3(ids[i], ids[j], closing))
-            gap += skip()
+            base = gap - j
+            closes, a = nbrs[later[i]].get, ids[i]
+            while j <= last:
+                closing = closes(later[j])
+                if closing is not None:
+                    keep(sorted3(a, ids[j], closing))
+                j += skip()
+            gap = base + j
         gap -= size
     return out
 

@@ -8,9 +8,10 @@ build that dedupes through a set of pairs and rebuilds every neighbor map
 in ascending-neighbor order, supports counted by
 the forward-wedge walk, the threshold estimator that rebuilds its graph
 every round, the peel with a removed-edge array and one heap push per
-decrement, the quadratic suffix replay, the marker estimator that
-materialises every round, the skip pass that scans for each probed wedge,
-and G(n, p) drawn skip by skip.
+decrement, the hypergraph peel that recounts every degree per pop, the
+quadratic suffix replay, the marker estimator that
+materialises every round, the marker test that scans the whole order, the
+skip pass that scans for each probed wedge, and G(n, p) drawn skip by skip.
 """
 
 from __future__ import annotations
@@ -18,21 +19,18 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable
+from itertools import chain, combinations
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from trusslab.approx import (
-    EstimateResult,
-    ThresholdRound,
-    hypergraph_degeneracy_order,
-    marker_test,
-)
+from trusslab.approx import EstimateResult, ThresholdRound, hypergraph_degeneracy_order
 from trusslab.gadgets import add_spurious_cliques, blowup, complete_graph, disjoint_union
 from trusslab.graph import Graph, build_graph, degeneracy_order, forward_wedge_count
 from trusslab.sampling import (
+    HypergraphSample,
     SamplerConfig,
     effective_epsilon,
     geometric_skip,
@@ -344,6 +342,35 @@ def reference_round_order(g: Graph, eps: float, zeta: float, seed: int) -> tuple
     return _peel_from_supports(g, supports)[1].order, True
 
 
+def reference_hypergraph_peel(sample: HypergraphSample) -> list[tuple[int, int]]:
+    """The min-degree peel of a sample as (vertex, degree) pops: before each
+    pop, recount every vertex's degree over the hyperedges none of whose
+    vertices has popped, and pop the least (degree, vertex)."""
+    left = set(range(sample.vertex_count))
+    hyperedges = list(sample.hyperedges)
+    pops: list[tuple[int, int]] = []
+    while left:
+        degree = Counter(chain.from_iterable(hyperedges))
+        v = min(left, key=lambda u: (degree[u], u))
+        pops.append((v, degree[v]))
+        left.remove(v)
+        hyperedges = [h for h in hyperedges if v not in h]
+    return pops
+
+
+def reference_marker_test(order: Sequence[int], spurious: Sequence[bool]) -> bool:
+    """The marker test by its definition: scan the whole order for the
+    first spurious position and the last original position, and hit iff
+    both exist and the first comes before the last."""
+    if len(order) != len(spurious):
+        raise ValueError(f"order has {len(order)} edges but {len(spurious)} labels given")
+    first_spurious = min((pos for pos, e in enumerate(order) if spurious[e]), default=None)
+    last_original = max((pos for pos, e in enumerate(order) if not spurious[e]), default=None)
+    if first_spurious is None or last_original is None:
+        return False
+    return first_spurious < last_original
+
+
 def reference_estimate_trussness(
     g_in: Graph,
     epsilon: float,
@@ -356,8 +383,9 @@ def reference_estimate_trussness(
 
     Builds the 6-fold blow-up united with K3, measures its degeneracy and
     edge count for the cap on x, and in every round appends the marker
-    cliques, orders the augmented graph and applies the marker test to that
-    order.  Same round seeds and certification as ``estimate_trussness``.
+    cliques, orders the augmented graph and applies ``reference_marker_test``
+    to the whole order.  Same round seeds and certification as
+    ``estimate_trussness``.
     """
     eps_exact = Fraction(str(epsilon))
     eps_prime = eps_exact / 6
@@ -376,7 +404,7 @@ def reference_estimate_trussness(
             augmented.graph, float(eps_prime), zeta, base + len(trace)
         )
         all_fell_back = all_fell_back and fell_back
-        hit = marker_test(order, augmented.is_spurious)
+        hit = reference_marker_test(order, augmented.is_spurious)
         trace.append((x, hit))
         if not hit:
             break

@@ -1,16 +1,24 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import FIGURE_LEFT_TRUSSNESS, edge_list_text, figure_left_graph, gadget_graphs
-from oracles import reference_estimate_trussness, reference_threshold_rounds
+from oracles import (
+    reference_estimate_trussness,
+    reference_hypergraph_peel,
+    reference_marker_test,
+    reference_threshold_rounds,
+)
 from test_cli import run_cli
 from test_graph import small_graphs
 from test_truss import _hub_graph
 from trusslab.approx import (
+    _hypergraph_peel,
+    _round_order,
     approx_order_holds,
     approx_truss_order,
     estimate_trussness,
@@ -28,7 +36,13 @@ from trusslab.gadgets import (
     spurious_clique_budget,
 )
 from trusslab.graph import build_graph, degeneracy_order, forward_wedge_count
-from trusslab.sampling import HypergraphSample, SamplerConfig, gnp_random_graph
+from trusslab.sampling import (
+    HypergraphSample,
+    SamplerConfig,
+    gnp_random_graph,
+    sample_hypergraph,
+    sample_wedges_fixed_p,
+)
 from trusslab.triangles import compute_supports, list_triangles
 from trusslab.truss import is_exact_truss_order, truss_decomposition, trussness
 
@@ -69,6 +83,20 @@ def test_full_hypergraph_peel_equals_support_peel(g):
     assert order.order == exact.order
     assert order.forward_degrees == exact.forward_support
     assert order.degeneracy == decomp.trussness
+
+
+def test_sampled_hypergraph_peel_matches_reference():
+    """The lazy peel, read whole or collected, pops what recounting every
+    degree before each pop gives, on samples of several densities."""
+    for seed in range(6):
+        g = gnp_random_graph(12 + 2 * seed, 0.5, seed)
+        info = degeneracy_order(g)
+        for p in (0.1, 0.4, 1.0):
+            sample = sample_wedges_fixed_p(g, info, p, seed)
+            want = reference_hypergraph_peel(sample)
+            assert list(_hypergraph_peel(sample)) == want, (seed, p)
+            order = hypergraph_degeneracy_order(sample)
+            assert list(zip(order.order, order.forward_degrees)) == want, (seed, p)
 
 
 # --------------------------------------------------------- approx orders ----
@@ -129,6 +157,65 @@ def test_marker_requires_matching_lengths():
 
 def test_marker_without_spurious_edges_is_false():
     assert marker_test([0, 1], [False, False]) is False
+
+
+def _marker_cases():
+    """Random permutations and labels, with the empty order and orders with
+    no spurious or no original edge among them."""
+    rng = random.Random(5)
+    cases = [([], []), ([1, 0, 2], [False] * 3), ([2, 0, 1], [True] * 3)]
+    for _ in range(300):
+        m = rng.randrange(1, 12)
+        order = list(range(m))
+        rng.shuffle(order)
+        cases.append((order, [rng.random() < 0.3 for _ in range(m)]))
+    return cases
+
+
+def _deciding_position(order, spurious):
+    """Index of the pop that decides the marker test, -1 if none is read:
+    the first spurious edge, or the last original one if that comes first."""
+    originals = [pos for pos, e in enumerate(order) if not spurious[e]]
+    if not originals:
+        return -1
+    first = next((pos for pos, e in enumerate(order) if spurious[e]), len(order))
+    return min(first, originals[-1])
+
+
+def test_marker_iterator_matches_list_and_definition():
+    for order, spurious in _marker_cases():
+        want = reference_marker_test(order, spurious)
+        assert marker_test(order, spurious) is want, (order, spurious)
+        assert marker_test(iter(order), spurious) is want, (order, spurious)
+
+
+def test_marker_never_reads_past_the_deciding_pop():
+    for order, spurious in _marker_cases():
+        stop = _deciding_position(order, spurious)
+
+        def pops():
+            yield from order[: stop + 1]
+            raise AssertionError(f"read past position {stop} of {order}")
+
+        assert marker_test(pops(), spurious) is reference_marker_test(order, spurious)
+
+
+@pytest.mark.parametrize("kind", [list, tuple, dict.fromkeys, lambda order: range(len(order))],
+                         ids=["list", "tuple", "dict", "range"])
+def test_marker_length_check_covers_every_sized_order(kind):
+    for order in ([0, 1], [1, 0, 2]):
+        with pytest.raises(ValueError):
+            marker_test(kind(order), [True])
+
+
+def test_round_order_pops_the_sample_peel_lazily():
+    g = gnp_random_graph(40, 0.5, 3)
+    cfg = SamplerConfig(epsilon=0.5, zeta=0.05, seed=1)
+    sample = sample_hypergraph(g, degeneracy_order(g), cfg)
+    assert not sample.fell_back_to_exact
+    order, fell_back = _round_order(g, 0.5, 0.05, 1)
+    assert not fell_back and not isinstance(order, list)
+    assert list(order) == hypergraph_degeneracy_order(sample).order
 
 
 def test_marker_on_exact_order_of_k6_with_small_x():

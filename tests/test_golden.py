@@ -4,8 +4,11 @@ The expected files under ``tests/golden`` were captured from the CLI before
 the graph core moved to per-node edge-id maps; ``bench.out`` was recaptured
 when the bench CSV dropped its ``reused`` column, and again when its
 ``within`` column began to judge the threshold estimator by its
-t~ <= t <= (3+eps)·t~ sandwich (six fields went 0 -> 1).  Regenerate them
-only for a deliberate change of output:
+t~ <= t <= (3+eps)·t~ sandwich (six fields went 0 -> 1).  The top-level
+``sample`` goldens all fall back to p = 1, so ``sampled/gnp40`` pins a run
+whose doubling passes really sample; its edge file sits in a subdirectory
+because ``bench`` reads every ``*.edges`` file at the top level.  Regenerate
+them only for a deliberate change of output:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -35,6 +38,10 @@ CASES = {
     for graph in GRAPHS
     for name, argv in COMMANDS.items()
 }
+# gnp_random_graph(40, 0.5, 3): m = 397, three passes, no fallback
+CASES["sampled/gnp40.sample"] = [
+    *COMMANDS["sample"], os.path.join(GOLDEN, "sampled", "gnp40.edges")
+]
 CASES["bench"] = [
     "bench", "--corpus", GOLDEN, "--no-timing", "--zetas", "110,0.01", "--seeds", "0:2"
 ]

@@ -155,22 +155,57 @@ def _rows(g):
     return list(forward_rows(g, info.order, info.positions))
 
 
+def _square_of_path(n: int):
+    """Each node joined to the next two: every forward row holds exactly
+    two later neighbors, so every row is a single pair."""
+    return build_graph([(u, v) for u in range(n) for v in (u + 1, u + 2) if v < n])
+
+
+def _segment_end_landings(rows, p: float, seed: int) -> int:
+    """Probes, under the skips a pass at (p, seed) draws, that land on the
+    first pair of the segment right after the previous probe's segment in
+    the same row, i.e. exactly where that segment ends."""
+    rng = random.Random(seed)
+    spans = []  # (row, i) of every wedge serial, pairs in lexicographic order
+    for r, (_, later, _) in enumerate(rows):
+        spans.extend((r, i) for i in range(len(later) - 1) for _ in range(i + 1, len(later)))
+    landings, prev = 0, None
+    serial = geometric_skip(p, rng) - 1
+    while serial < len(spans):
+        r, i = spans[serial]
+        first = serial == 0 or spans[serial - 1] != (r, i)
+        landings += first and prev == (r, i - 1)
+        prev = (r, i)
+        serial += geometric_skip(p, rng)
+    return landings
+
+
 def test_skip_pass_matches_reference():
-    """Row walk with closed-form pairs against the pass that scans for each
-    serial: equal samples, and equal RNG states after the pass, so the next
-    pass of the doubling loop draws the same numbers too."""
+    """Segment walk with closed-form pairs against the pass that scans for
+    each serial: equal samples, and equal RNG states after the pass, so the
+    next pass of the doubling loop draws the same numbers too.  Long rows
+    at high p put many probes in one segment and step exactly onto
+    segment ends; rows of one pair enter a new segment on every probe."""
     star = _star_with_chords(40, 0.02, 4)
     assert len(_rows(star)) < star.n // 2
+    strip = _square_of_path(60)
+    assert len(_rows(strip)) == strip.n - 2
+    assert all(len(later) == 2 for _, later, _ in _rows(strip))
     graphs = [_gnm(30, 60, 1), _gnm(30, 200, 2), _gnm(30, 400, 3), star,
-              complete_graph(8), blowup(complete_graph(4), 2).materialize()]
-    for gi, g in enumerate(graphs):
+              complete_graph(8), blowup(complete_graph(4), 2).materialize(), strip]
+    cases = [(g, p) for g in graphs for p in (1e-4, 0.05, 0.3, 0.9, 1.0)]
+    long_rows = [complete_graph(30), _gnm(40, 600, 5)]
+    cases += [(g, p) for g in long_rows for p in (0.5, 0.7)]
+    for ci, (g, p) in enumerate(cases):
         rows = _rows(g)
-        for p in (1e-4, 0.05, 0.3, 0.9, 1.0):
-            for seed in range(3):
-                rng, ref = random.Random(seed), random.Random(seed)
-                want = oracles.reference_skip_pass(g, rows, p, ref)
-                assert _skip_pass(g, rows, p, rng) == want, (gi, p, seed)
-                assert rng.getstate() == ref.getstate(), (gi, p, seed)
+        for seed in range(3):
+            rng, ref = random.Random(seed), random.Random(seed)
+            want = oracles.reference_skip_pass(g, rows, p, ref)
+            assert _skip_pass(g, rows, p, rng) == want, (ci, p, seed)
+            assert rng.getstate() == ref.getstate(), (ci, p, seed)
+    for g in long_rows:
+        assert max(len(later) for _, later, _ in _rows(g)) >= 15
+        assert all(_segment_end_landings(_rows(g), p, 0) >= 20 for p in (0.5, 0.7))
 
 
 class _Unwalkable(list):
