@@ -13,9 +13,10 @@ class Graph:
     Nodes are ``0..n-1``; edge ids are ``0..m-1`` in first-appearance order of
     the (deduplicated) input edge list.  Each node keeps one map from
     neighbor to edge id, iterated in ascending edge-id order, so a single
-    lookup both tests an edge and names it.  Graphs are built by
-    ``build_graph``; instances are immutable after construction and safe to
-    share across threads.
+    lookup both tests an edge and names it.  Each node id is one shared
+    ``int`` object wherever it occurs, in the edge pairs and as a map key.
+    Graphs are built by ``build_graph``; instances are immutable after
+    construction and safe to share across threads.
     """
 
     __slots__ = ("n", "m", "_adj", "_pairs")
@@ -64,11 +65,16 @@ def build_graph(edges: Iterable[tuple[int, int]], node_count: int | None = None)
     thus fills in ascending edge-id order.  ``node_count`` may enlarge the
     node universe beyond ``max(endpoint) + 1`` (isolated nodes are permitted
     but never created implicitly); an endpoint at or past it is rejected.
+
+    The endpoints of each new edge are swapped for the graph's own ``int``
+    of that node before they are stored, so a node id above CPython's small
+    int cache costs one object per node, not one per occurrence.
     """
     if node_count is not None and node_count < 0:
         raise ValueError(f"negative node_count {node_count}")
     adj: list[dict[int, int]] = [{} for _ in range(node_count or 0)]
     n = len(adj)
+    node = list(range(n))
     pairs: list[tuple[int, int]] = []
     for u, v in edges:
         if u < 0 or v < 0:
@@ -79,9 +85,11 @@ def build_graph(edges: Iterable[tuple[int, int]], node_count: int | None = None)
             if node_count is not None:
                 raise ValueError(f"node id {v} not below node_count {node_count}")
             adj.extend([{} for _ in range(v + 1 - n)])
+            node.extend(range(n, v + 1))
             n = v + 1
         nbrs = adj[u]
         if u != v and v not in nbrs:
+            u, v = node[u], node[v]
             nbrs[v] = adj[v][u] = len(pairs)
             pairs.append((u, v))
     return Graph(n, adj, pairs)

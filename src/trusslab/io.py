@@ -9,6 +9,7 @@ gadget-augmented graphs stay inspectable on disk.
 from __future__ import annotations
 
 import sys
+from array import array
 from typing import IO, Iterable, Sequence
 
 from .graph import Graph, build_graph
@@ -24,8 +25,15 @@ class EdgeListError(ValueError):
 
 def parse_edge_lines(lines: Iterable[str]) -> tuple[list[tuple[int, int]], list[bool]]:
     """Parse raw lines into (edges, spurious flags), both in input order."""
-    edges: list[tuple[int, int]] = []
-    flags: list[bool] = []
+    us, vs, flags = _parse_columns(lines)
+    return list(zip(us, vs)), list(map(bool, flags))
+
+
+def _parse_columns(lines: Iterable[str]) -> tuple[array, array, bytearray]:
+    """Parse raw lines into two endpoint columns and a column of spurious
+    flags (0 or 1), in input order; a node id that a signed 64-bit column
+    cannot hold is rejected."""
+    us, vs, flags = array("q"), array("q"), bytearray()
     for line_no, raw in enumerate(lines, start=1):
         body, _, comment = raw.partition("#")
         fields = body.split()
@@ -39,9 +47,13 @@ def parse_edge_lines(lines: Iterable[str]) -> tuple[list[tuple[int, int]], list[
             raise EdgeListError(line_no, f"non-integer node id in {body.strip()!r}") from None
         if u < 0 or v < 0:
             raise EdgeListError(line_no, f"negative node id in {body.strip()!r}")
-        edges.append((u, v))
+        try:
+            us.append(u)
+            vs.append(v)
+        except OverflowError:
+            raise EdgeListError(line_no, f"node id too large in {body.strip()!r}") from None
         flags.append("spurious" in comment)
-    return edges, flags
+    return us, vs, flags
 
 
 def load_graph(source: str | IO[str]) -> tuple[Graph, list[bool]]:
@@ -49,7 +61,8 @@ def load_graph(source: str | IO[str]) -> tuple[Graph, list[bool]]:
 
     Returns the graph plus per-edge spurious flags aligned with edge ids.
     Flags of dropped duplicate/self-loop lines follow the first surviving
-    occurrence of each edge.
+    occurrence of each edge.  The lines are parsed into compact columns
+    (8 bytes per endpoint, 1 per flag), not a list of per-edge tuples.
     """
     if isinstance(source, str):
         if source == "-":
@@ -60,16 +73,16 @@ def load_graph(source: str | IO[str]) -> tuple[Graph, list[bool]]:
 
 
 def _load_stream(fh: IO[str]) -> tuple[Graph, list[bool]]:
-    edges, raw_flags = parse_edge_lines(fh)
-    g = build_graph(edges)
-    flags = [False] * g.m
+    us, vs, raw_flags = _parse_columns(fh)
+    g = build_graph(zip(us, vs))
     if not any(raw_flags):
-        return g, flags
+        return g, [False] * g.m
+    flags = bytearray(g.m)
     # walked backwards, so the first occurrence of each edge writes last
-    for (u, v), flag in zip(reversed(edges), reversed(raw_flags)):
+    for u, v, flag in zip(reversed(us), reversed(vs), reversed(raw_flags)):
         if u != v:
             flags[g.edge_id(u, v)] = flag
-    return g, flags
+    return g, list(map(bool, flags))
 
 
 def write_edge_list(fh: IO[str], g: Graph, spurious: Sequence[bool] | None = None) -> None:

@@ -215,6 +215,7 @@ def sample_hypergraph(g: Graph, info: DegeneracyInfo, cfg: SamplerConfig) -> Hyp
         sample = _skip_pass(g, rows, p, rng)
         if len(sample) >= target:
             return HypergraphSample(g.m, sample, p, False, cfg.seed)
+        del sample  # freed before the next pass draws
         p *= 2.0
     everything = [sorted3(x, y, z) for _, _, _, x, y, z in forward_triangles(g, rows)]
     return HypergraphSample(g.m, everything, 1.0, True, cfg.seed)

@@ -4,6 +4,7 @@ and recovery of the decomposition from any truss-order oracle."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Sequence
 
 from .gadgets import blowup, disjoint_union, ladder_gadget
@@ -55,16 +56,23 @@ def _closing_edge_ids(near: dict[int, int], far: dict[int, int]) -> list[int]:
 def _peel_from_supports(g: Graph, supports: SupportTable) -> tuple[TrussDecomposition, EdgeOrder]:
     """Min-support peel from precomputed supports.
 
-    Works on a copy of every node's neighbor -> edge-id map that shrinks as
-    the peel goes: a popped edge leaves both endpoint maps before the
-    smaller one is walked, so removed edges are never probed and every
-    triangle found is live.  The other two edges of all triangles a pop
-    closes go to the queue in one batched decrement.  A pop's key counts
-    its live triangles, so a pop at key 0 only leaves the maps.
+    Works on per-peel neighbor -> edge-id maps that shrink as the peel
+    goes: a popped edge leaves both endpoint maps before the smaller one is
+    walked, so removed edges are never probed and every triangle found is
+    live.  The other two edges of all triangles a pop closes go to the
+    queue in one batched decrement.  An edge of support 0 lies in no
+    triangle, so it never enters the maps and its pop touches none; a pop
+    at key 0 only leaves the maps.
     """
     m = g.m
-    queue = BucketQueue(supports.support)
-    adj = [dict(g.neighbors(u)) for u in range(g.n)]
+    support = supports.support
+    queue = BucketQueue(support)
+    in_triangle = support.__getitem__
+    none: dict[int, int] = {}  # shared by the nodes on no triangle: no pop reaches them
+    adj = [
+        dict(compress(nbrs.items(), map(in_triangle, nbrs.values()))) or none
+        for nbrs in map(g.neighbors, range(g.n))
+    ]
     pair = g.pair
     t = [0] * m
     order: list[int] = []
@@ -77,13 +85,14 @@ def _peel_from_supports(g: Graph, supports: SupportTable) -> tuple[TrussDecompos
         t[eid] = level
         order.append(eid)
         fwd.append(s)
-        u, v = pair(eid)
-        near = adj[u]
-        far = adj[v]
-        del near[v]
-        del far[u]
-        if s:
-            queue.decrease(_closing_edge_ids(near, far))
+        if support[eid]:
+            u, v = pair(eid)
+            near = adj[u]
+            far = adj[v]
+            del near[v]
+            del far[u]
+            if s:
+                queue.decrease(_closing_edge_ids(near, far))
     return TrussDecomposition(t, level), EdgeOrder(order, fwd)
 
 

@@ -1,3 +1,4 @@
+import io
 import os
 import re
 import subprocess
@@ -166,6 +167,42 @@ def test_spurious_flag_follows_first_surviving_occurrence(tmp_path):
     assert flags == [False, False]
 
 
+# (edge-list text, pairs, spurious flags): the flag of each edge is that of
+# its first line; reversed repeats count as repeats, self-loops never count.
+FIRST_OCCURRENCE = [
+    ("0 1 # spurious\n1 2\n0 1\n", [(0, 1), (1, 2)], [True, False]),
+    ("0 1\n1 2\n0 1 # spurious\n", [(0, 1), (1, 2)], [False, False]),
+    ("1 0 # spurious\n0 1\n", [(0, 1)], [True]),
+    ("300 2\n2 300 # spurious\n300 2 # spurious\n", [(2, 300)], [False]),
+    ("3 3 # spurious\n3 4\n4 4 # spurious\n4 3 # spurious\n", [(3, 4)], [False]),
+    ("5 5 # spurious\n", [], []),
+    ("0 1\n1 0\n", [(0, 1)], [False]),
+]
+
+
+@pytest.mark.parametrize("source", ["path", "stdin"])
+@pytest.mark.parametrize("text, pairs, flags", FIRST_OCCURRENCE)
+def test_load_flags_follow_first_occurrence(tmp_path, monkeypatch, source, text, pairs, flags):
+    if source == "path":
+        g, got = load_graph(write_graph(tmp_path, "g.edges", text))
+    else:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        g, got = load_graph("-")
+    assert list(g.edges()) == pairs
+    assert got == flags
+    assert all(type(flag) is bool for flag in got)
+
+
+def test_id_past_the_endpoint_column_is_a_line_error(tmp_path, capsys):
+    path = write_graph(tmp_path, "huge.edges", "0 1\n0 9223372036854775808\n")
+    with pytest.raises(EdgeListError) as err:
+        load_graph(path)
+    assert err.value.line_no == 2
+    code, out, err = run_cli(capsys, "truss", "exact", path)
+    assert (code, out) == (1, "")
+    assert err == "trusslab: error: line 2: node id too large in '0 9223372036854775808'\n"
+
+
 @pytest.mark.parametrize(
     "line, parsed",
     [
@@ -181,6 +218,12 @@ def test_spurious_flag_follows_first_surviving_occurrence(tmp_path):
         ("1 2 3", "line 2: expected two node ids, got '1 2 3'"),
         ("a b", "line 2: non-integer node id in 'a b'"),
         ("-1 2", "line 2: negative node id in '-1 2'"),
+        ("1 0 # spurious", ([(1, 0)], [True])),
+        ("2 2 # spurious", ([(2, 2)], [True])),
+        # the largest id the endpoint column holds; parsed only, never built
+        ("0 9223372036854775807", ([(0, 9223372036854775807)], [False])),
+        ("0 9223372036854775808", "line 2: node id too large in '0 9223372036854775808'"),
+        ("9" * 30 + " 1", f"line 2: node id too large in '{'9' * 30} 1'"),
     ],
 )
 def test_parse_edge_lines_table(line, parsed):

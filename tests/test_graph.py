@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,14 @@ from hypothesis import strategies as st
 import oracles
 from conftest import figure_left_graph
 from trusslab.approx import approx_truss_order, estimate_trussness, threshold_rounds
-from trusslab.gadgets import bipartite_apex, blowup, complete_graph, disjoint_union, ladder_gadget
+from trusslab.gadgets import (
+    add_spurious_cliques,
+    bipartite_apex,
+    blowup,
+    complete_graph,
+    disjoint_union,
+    ladder_gadget,
+)
 from trusslab.graph import (
     BucketQueue,
     Graph,
@@ -15,6 +23,7 @@ from trusslab.graph import (
     degeneracy_order,
     forward_wedge_count,
 )
+from trusslab.io import load_graph
 from trusslab.sampling import SamplerConfig, gnp_random_graph, sample_hypergraph
 from trusslab.triangles import compute_supports, list_triangles
 from trusslab.truss import decomposition_from_order, suffix_support_profile, truss_decomposition
@@ -77,7 +86,11 @@ def _assert_builds_like_reference(edges, node_count=None):
         with pytest.raises(ValueError):
             build_graph(iter(edges), node_count)
         return
-    g = build_graph(iter(edges), node_count)
+    _assert_same_graph(build_graph(iter(edges), node_count), ref)
+
+
+def _assert_same_graph(g, ref):
+    """Same n, m, pairs and neighbor maps (as dicts)."""
     assert (g.n, g.m) == (ref.n, ref.m)
     assert list(g.edges()) == list(ref.edges())
     assert [g.neighbors(u) for u in g.nodes()] == [ref.neighbors(u) for u in ref.nodes()]
@@ -118,6 +131,89 @@ def test_build_matches_two_pass_reference_seeded():
 )
 def test_build_matches_two_pass_reference(edges, node_count):
     _assert_builds_like_reference(edges, node_count)
+
+
+# ------------------------------------------------------------ interning ----
+
+
+def _assert_interned_like_reference(g, ref):
+    """g equals the reference build, and each node id past CPython's small
+    int cache is one object across every pair and every map key."""
+    _assert_same_graph(g, ref)
+    canonical = {}
+    occurrences = [x for eid in range(g.m) for x in g.pair(eid)]
+    occurrences += [x for u in g.nodes() for x in g.neighbors(u)]
+    for x in occurrences:
+        assert canonical.setdefault(x, x) is x, x
+    assert max(canonical) > 256
+
+
+def _edges_past_256(rng, n, count):
+    """Random endpoints below n, with repeats, reversed pairs and self-loops."""
+    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(count)]
+    return edges + [(v, u) for u, v in rng.sample(edges, count // 4)] + [(300, 300)]
+
+
+@pytest.mark.parametrize("node_count", [None, 700])
+def test_build_interns_node_ids(node_count):
+    edges = _edges_past_256(random.Random(3), 600, 1500)
+    g = build_graph(iter(edges), node_count)
+    _assert_interned_like_reference(g, oracles.reference_build_graph(edges, node_count))
+
+
+def test_loaded_graph_interns_node_ids(tmp_path):
+    edges = _edges_past_256(random.Random(4), 500, 1200)
+    path = tmp_path / "big-ids.edges"
+    path.write_text("".join(f"{u} {v}\n" for u, v in edges))
+    g, _ = load_graph(str(path))
+    _assert_interned_like_reference(g, oracles.reference_build_graph(edges))
+
+
+def test_derived_graphs_intern_node_ids():
+    base = gnp_random_graph(120, 0.05, 8)
+    view = blowup(base, 3)
+    _assert_interned_like_reference(
+        view.materialize(), oracles.reference_build_graph(view.edges(), view.n)
+    )
+
+    a, b = gnp_random_graph(270, 0.02, 1), gnp_random_graph(40, 0.2, 2)
+    shifted = [(u + a.n, v + a.n) for u, v in b.edges()]
+    _assert_interned_like_reference(
+        disjoint_union(a, b),
+        oracles.reference_build_graph(list(a.edges()) + shifted, a.n + b.n),
+    )
+
+    aug = add_spurious_cliques(a, 3)
+    cliques = [
+        pair
+        for c in range(aug.spurious_clique_count)
+        for pair in combinations(range(a.n + 5 * c, a.n + 5 * c + 5), 2)
+    ]
+    _assert_interned_like_reference(
+        aug.graph, oracles.reference_build_graph(list(a.edges()) + cliques, aug.graph.n)
+    )
+
+    _assert_interned_like_reference(
+        gnp_random_graph(400, 0.02, 5),
+        oracles.reference_build_graph(oracles.reference_gnp_edges(400, 0.02, 5), 400),
+    )
+
+
+@pytest.mark.parametrize(
+    "edges, node_count, message",
+    [
+        ([(300, 301), (301, -300)], None, "negative node id in edge (301, -300)"),
+        ([(300, 301), (-1, 1000)], 2000, "negative node id in edge (-1, 1000)"),
+        ([(300, 301), (301, 1000)], 1000, "node id 1000 not below node_count 1000"),
+        ([(300, 301)], -300, "negative node_count -300"),
+    ],
+)
+def test_build_rejections_past_256(edges, node_count, message):
+    with pytest.raises(ValueError):
+        oracles.reference_build_graph(edges, node_count)
+    with pytest.raises(ValueError) as err:
+        build_graph(edges, node_count)
+    assert str(err.value) == message
 
 
 def test_edge_ids_follow_input_order():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import oracles
 from conftest import FIGURE_LEFT_TRUSSNESS
 from test_graph import small_graphs
-from trusslab.gadgets import blowup, complete_graph, ladder_gadget
+from trusslab.gadgets import bipartite_apex, blowup, complete_graph, ladder_gadget
 from trusslab.graph import build_graph, degeneracy_order
 from trusslab.sampling import gnp_random_graph
 from trusslab.triangles import compute_supports
@@ -168,6 +168,106 @@ def test_peel_walks_only_pops_with_live_triangles(monkeypatch):
     live_pops = sum(1 for s in order.forward_support if s > 0)
     assert 0 < live_pops < g.m
     assert len(walks) == live_pops
+
+
+def _tree_with_triangles(n: int, chords: int, seed: int):
+    """A random tree plus ``chords`` edges from a node to its grandparent,
+    each closing one triangle; edge ids in shuffled order."""
+    rng = random.Random(seed)
+    parent = [0] + [rng.randrange(v) for v in range(1, n)]
+    edges = [(parent[v], v) for v in range(1, n)]
+    edges += [(parent[parent[v]], v) for v in rng.sample(range(2, n), chords)]
+    rng.shuffle(edges)
+    return build_graph(edges)
+
+
+def _star_with_chords(leaves: int, chords: int, seed: int):
+    rng = random.Random(seed)
+    edges = [(0, leaf) for leaf in range(1, leaves + 1)]
+    edges += [tuple(rng.sample(range(1, leaves + 1), 2)) for _ in range(chords)]
+    rng.shuffle(edges)
+    return build_graph(edges)
+
+
+def _chung_lu_like(n: int, m: int, alpha: float, seed: int):
+    """Both endpoints of each edge drawn with weight (node + 1) ** -alpha:
+    a few hubs in many triangles, a long tail in none."""
+    rng = random.Random(seed)
+    nodes = range(n)
+    weights = [(u + 1) ** -alpha for u in nodes]
+    ends = rng.choices(nodes, weights, k=2 * m)
+    return build_graph(zip(ends[::2], ends[1::2]))
+
+
+def _zero_support_graphs():
+    graphs = [_tree_with_triangles(40 + 10 * i, 3 + i, 1400 + i) for i in range(6)]
+    graphs += [_star_with_chords(30 + 5 * i, 2 + 2 * i, 1500 + i) for i in range(6)]
+    graphs += [bipartite_apex(side) for side in range(1, 7)]
+    apex = list(bipartite_apex(4).edges())
+    graphs.append(build_graph(apex + [(8, 9 + i) for i in range(10)] + [(9, 10), (10, 11)]))
+    graphs += [_chung_lu_like(300, 900, 0.8, 1600 + i) for i in range(3)]
+    return graphs
+
+
+def test_peel_keeps_zero_support_edges_out_of_its_maps(monkeypatch):
+    """Against the reference peel, on graphs where support 0 is common and
+    supports also fall to 0 mid-peel.  Every walk sees exactly the maps of
+    the unpopped edges of positive initial support, so an edge whose
+    support fell to 0 and that stayed in the maps after its pop fails."""
+    import trusslab.truss
+
+    real = trusslab.truss._closing_edge_ids
+    seen = []
+
+    def snapshot(near, far):
+        seen.append({frozenset(near.items()), frozenset(far.items())})
+        return real(near, far)
+
+    monkeypatch.setattr(trusslab.truss, "_closing_edge_ids", snapshot)
+    zeros = fell_to_zero = 0
+    for i, g in enumerate(_zero_support_graphs()):
+        supports = compute_supports(g)
+        seen.clear()
+        decomp, order = _peel_from_supports(g, supports)
+        assert (decomp, order) == oracles.reference_peel_from_supports(g, supports), i
+        support = supports.support
+        zeros += support.count(0)
+        walks = iter(seen)
+        popped = set()
+        for eid, s in zip(order.order, order.forward_support):
+            popped.add(eid)
+            fell_to_zero += support[eid] > 0 and s == 0
+            if not s:
+                continue
+            live = [
+                frozenset((z, e) for z, e in g.neighbors(x).items()
+                          if support[e] and e not in popped)
+                for x in g.pair(eid)
+            ]
+            assert next(walks) == set(live), (i, eid)
+        assert next(walks, None) is None, i
+    assert zeros > 1000 and fell_to_zero > 100
+
+
+def test_peel_copies_no_support_zero_edge():
+    """On a 5000-leaf star with one triangle, a peel that copied every edge
+    into its maps peaks at ~330 bytes per edge; one that leaves the support-0
+    edges out stays under 200 (tracemalloc; it measures ~80)."""
+    import tracemalloc
+
+    g = build_graph([(0, leaf) for leaf in range(1, 5001)] + [(1, 2)])
+    supports = compute_supports(g)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        _peel_from_supports(g, supports)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 200 * g.m
 
 
 @settings(max_examples=60)
