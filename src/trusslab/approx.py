@@ -133,24 +133,22 @@ def approx_order_holds(g: Graph, order: Sequence[int], epsilon: float) -> bool:
     )
 
 
-def marker_test(
-    order: "ApproxTrussOrder | Iterable[int]", spurious: Sequence[bool]
-) -> bool:
+def marker_test(order: Iterable[int], spurious: Sequence[bool]) -> bool:
     """True iff some spurious edge precedes the last original edge.
 
-    ``order`` is a permutation of the edge ids, as a sequence or lazily as
-    an iterator; one with a length must match ``spurious``.  The test reads
-    the order only up to the pop that decides it: the first spurious edge
-    hits iff some original edge is still to come, and once every original
-    edge is out the test misses.
+    ``order`` is a permutation of the edge ids, as a sequence such as
+    ``ApproxTrussOrder.order`` or lazily as an iterator over a peel's pops;
+    one with a length must match ``spurious``.  The test reads the order
+    only up to the pop that decides it: the first spurious edge hits iff
+    some original edge is still to come, and once every original edge is
+    out the test misses.
     """
-    ids = order.order if isinstance(order, ApproxTrussOrder) else order
-    if isinstance(ids, Sized) and len(ids) != len(spurious):
-        raise ValueError(f"order has {len(ids)} edges but {len(spurious)} labels given")
+    if isinstance(order, Sized) and len(order) != len(spurious):
+        raise ValueError(f"order has {len(order)} edges but {len(spurious)} labels given")
     originals = spurious.count(False)
     if not originals:
         return False
-    for eid in ids:
+    for eid in order:
         if spurious[eid]:
             return True
         originals -= 1
@@ -201,10 +199,6 @@ def _round_order(
     if sample.fell_back_to_exact:
         return None, True
     return (v for v, _ in _hypergraph_peel(sample)), False
-
-
-def _ceil_fraction(value: Fraction) -> int:
-    return -((-value.numerator) // value.denominator)
 
 
 def estimate_trussness(
@@ -293,7 +287,7 @@ def estimate_trussness(
         if not hit:
             break
         t_tilde = x
-        nxt = _ceil_fraction(growth * x)
+        nxt = math.ceil(growth * x)
         if nxt > x_cap:
             break
         x = nxt
@@ -302,8 +296,8 @@ def estimate_trussness(
         return EstimateResult(Fraction(0), True, len(trace), trace, all_fell_back)
     low = Fraction(t_tilde) / (1 + eps_prime)
     high = (t_tilde + 1) * (1 + 3 * eps_prime)
-    first = _ceil_fraction(low / 6)
-    last = (high / 6).numerator // (high / 6).denominator
+    first = math.ceil(low / 6)
+    last = math.floor(high / 6)
     if first == last:
         return EstimateResult(Fraction(first), True, len(trace), trace, all_fell_back)
     return EstimateResult(Fraction(t_tilde, 6), False, len(trace), trace, all_fell_back)

@@ -120,16 +120,22 @@ _positive_int = _ranged(int, (lambda v: v >= 1, "positive"))
 _count = _ranged(int, (lambda v: v >= 0, "non-negative"))
 
 
-def _float_list(item: Callable[[str], float]) -> Callable[[str], list[float]]:
-    """A parser of comma lists whose values each pass ``item``."""
+def _comma_list(item: Callable[[str], object], kind: str) -> Callable[[str], list]:
+    """A parser of non-empty comma lists whose values each pass ``item``."""
 
-    def parse(text: str) -> list[float]:
+    def parse(text: str) -> list:
         values = [item(tok) for tok in text.split(",") if tok]
         if not values:
-            raise argparse.ArgumentTypeError(f"empty float list: {text!r}")
+            raise argparse.ArgumentTypeError(f"empty {kind} list: {text!r}")
         return values
 
     return parse
+
+
+_estimator_list = _comma_list(
+    _ranged(str, (lambda v: v in ("exact", "approx", "threshold"), "exact, approx or threshold")),
+    "estimator",
+)
 
 
 def _seed_list(text: str) -> list[int]:
@@ -412,10 +418,6 @@ def _bench_rows_for_graph(
 
 def cmd_bench(args) -> None:
     paths = _corpus_paths(args.corpus)
-    estimators = [e for e in args.estimators.split(",") if e]
-    for est in estimators:
-        if est not in ("exact", "approx", "threshold"):
-            raise ValueError(f"unknown estimator {est!r}")
     graphs: list[_BenchGraph] = []
     for path in paths:
         g, _ = load_graph(path)
@@ -430,7 +432,7 @@ def cmd_bench(args) -> None:
 
     timing = not args.no_timing
     blocks = [
-        _bench_rows_for_graph(bg, estimators, args.epsilons, args.zetas, args.seeds, timing)
+        _bench_rows_for_graph(bg, args.estimators, args.epsilons, args.zetas, args.seeds, timing)
         for bg in graphs
     ]
 
@@ -439,7 +441,7 @@ def cmd_bench(args) -> None:
         writer.writerow(BENCH_COLUMNS)
         for block in blocks:
             writer.writerows(block)
-    _report("bench", result=f"{len(graphs)} graphs", estimators=",".join(estimators))
+    _report("bench", result=f"{len(graphs)} graphs", estimators=",".join(args.estimators))
 
 
 # ----------------------------------------------------------------- main ----
@@ -529,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input(p)
     _add_out(p)
     p.add_argument("-q", type=_positive_int, required=True)
-    p.add_argument("--max-edges", type=int, default=10_000_000)
+    p.add_argument("--max-edges", type=_count, default=10_000_000)
     p.set_defaults(func=_builder("gadget blowup", _gadget_blowup))
 
     p = gadget_sub.add_parser("spurious", help="append disjoint marker cliques")
@@ -560,9 +562,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="accuracy/runtime table over a corpus")
     _add_out(p)
     p.add_argument("--corpus", required=True, help="directory of .edges files or a manifest")
-    p.add_argument("--estimators", default="exact,approx,threshold")
-    p.add_argument("--epsilons", type=_float_list(_unit_open_interval), default=(0.3,))
-    p.add_argument("--zetas", type=_float_list(_positive_float), default=(110.0,))
+    p.add_argument("--estimators", type=_estimator_list, default="exact,approx,threshold")
+    p.add_argument("--epsilons", type=_comma_list(_unit_open_interval, "float"), default=(0.3,))
+    p.add_argument("--zetas", type=_comma_list(_positive_float, "float"), default=(110.0,))
     p.add_argument("--seeds", type=_seed_list, default=(0,))
     p.add_argument("--no-timing", action="store_true", help="zero the seconds column")
     p.set_defaults(func=cmd_bench)

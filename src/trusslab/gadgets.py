@@ -63,14 +63,13 @@ class AugmentedGraph:
     """A graph together with appended disjoint marker cliques.
 
     ``graph`` holds the base edges first (ids unchanged) followed by the
-    edges of ``spurious_clique_count`` disjoint (x+2)-cliques on fresh nodes.
-    Every spurious edge has trussness exactly x inside its own clique, which
-    is what makes them usable as position markers in a truss order.
+    edges of ``spurious_clique_count`` disjoint (x+2)-cliques on fresh nodes;
+    ``is_spurious`` flags the latter.  Every spurious edge has trussness
+    exactly x inside its own clique, which is what makes them usable as
+    position markers in a truss order.
     """
 
     graph: Graph
-    base_edge_count: int
-    x: int
     spurious_clique_count: int
     is_spurious: list[bool]
 
@@ -101,7 +100,7 @@ def add_spurious_cliques(g: Graph, x: int) -> AugmentedGraph:
         edges.extend(combinations(members, 2))
     combined = build_graph(edges, node_count=g.n + count * size)
     flags = [eid >= base_m for eid in range(combined.m)]
-    return AugmentedGraph(combined, base_m, x, count, flags)
+    return AugmentedGraph(combined, count, flags)
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:

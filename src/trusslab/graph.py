@@ -104,21 +104,20 @@ class BucketQueue:
     resumes where it left off and is pulled back whenever a decrement dips
     below it.  Ties break on the smallest item id via a lazy per-bucket
     heap: stale entries are discarded when popped, so each key change costs
-    one push.
+    one push.  A popped item's key becomes -1, which no bucket holds, so
+    one key comparison tells a live entry from a stale one.
     """
 
-    __slots__ = ("_key", "_alive", "_buckets", "_cur", "_count")
+    __slots__ = ("_key", "_buckets", "_cur", "_count")
 
     def __init__(self, keys: Iterable[int]):
         self._key = list(keys)
-        self._alive = [True] * len(self._key)
         self._buckets: dict[int, list[int]] = {}
+        # Items go in by ascending id, so every bucket starts as a heap.
         for item, k in enumerate(self._key):
             if k < 0:
                 raise ValueError("bucket keys must be non-negative")
             self._buckets.setdefault(k, []).append(item)
-        for heap in self._buckets.values():
-            heapq.heapify(heap)
         self._cur = 0
         self._count = len(self._key)
 
@@ -131,7 +130,6 @@ class BucketQueue:
             raise IndexError("pop from empty BucketQueue")
         buckets = self._buckets
         keys = self._key
-        alive = self._alive
         cur = self._cur
         heap = buckets.get(cur)
         while True:
@@ -141,10 +139,10 @@ class BucketQueue:
                 heap = buckets.get(cur)
                 continue
             item = heapq.heappop(heap)
-            if alive[item] and keys[item] == cur:
+            if keys[item] == cur:
                 break
             # stale entry: the item was popped or its key has moved down
-        alive[item] = False
+        keys[item] = -1
         self._cur = cur
         self._count -= 1
         return item, cur
@@ -153,14 +151,13 @@ class BucketQueue:
         """Decrement the key of each live item once per occurrence in
         ``items``; items already popped are skipped."""
         keys = self._key
-        alive = self._alive
         buckets = self._buckets
         cur = self._cur
         for item in items:
-            if not alive[item]:
-                continue
             k = keys[item] - 1
             if k < 0:
+                if k == -2:  # popped
+                    continue
                 self._cur = cur
                 raise ValueError(f"key of item {item} would become negative")
             keys[item] = k

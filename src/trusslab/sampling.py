@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .graph import DegeneracyInfo, Graph, build_graph, forward_wedge_count
-from .triangles import ForwardRow, forward_rows, forward_triangles, sorted3
+from .triangles import ForwardRow, forward_rows, sorted3
 
 
 @dataclass(frozen=True)
@@ -197,8 +197,9 @@ def sample_hypergraph(g: Graph, info: DegeneracyInfo, cfg: SamplerConfig) -> Hyp
     Starts from p = zeta * m * log(m) / (W * eps^2) and repeats single skip
     passes, doubling p (and discarding the previous pass entirely) until the
     sample holds at least 1.5 * zeta * m * log(m) / eps^2 hyperedges.  If p
-    reaches 1 first, all triangles are enumerated instead and the fallback
-    flag is set.  Identical (graph, config) inputs give identical samples.
+    reaches 1 first, the fallback flag is set and one more pass runs at
+    p = 1, which probes every forward wedge without drawing and so keeps
+    all triangles.  Identical (graph, config) inputs give identical samples.
     A zeta so small that the first p underflows to 0 raises ValueError.
     """
     W = forward_wedge_count(g, info)
@@ -217,8 +218,7 @@ def sample_hypergraph(g: Graph, info: DegeneracyInfo, cfg: SamplerConfig) -> Hyp
             return HypergraphSample(g.m, sample, p, False, cfg.seed)
         del sample  # freed before the next pass draws
         p *= 2.0
-    everything = [sorted3(x, y, z) for _, _, _, x, y, z in forward_triangles(g, rows)]
-    return HypergraphSample(g.m, everything, 1.0, True, cfg.seed)
+    return HypergraphSample(g.m, _skip_pass(g, rows, 1.0, rng), 1.0, True, cfg.seed)
 
 
 def gnp_random_graph(n: int, p: float, seed: int) -> Graph:

@@ -45,11 +45,6 @@ def sorted3(x: int, y: int, z: int) -> tuple[int, int, int]:
     return (x, y, z)
 
 
-def make_triangle(a: int, b: int, c: int, ab: int, ac: int, bc: int) -> Triangle:
-    """Canonical triangle from its nodes and the ids of its three edges."""
-    return Triangle(sorted3(a, b, c), sorted3(ab, ac, bc))
-
-
 def forward_rows(g: Graph, order: Sequence[int], pos: Sequence[int]) -> Iterator[ForwardRow]:
     """Each node in ``order`` with its later neighbors and their edge ids;
     ``pos[u]`` is the index of u in ``order``.  Nodes with fewer than two
@@ -113,19 +108,8 @@ def list_triangles(g: Graph, sink: Optional[Callable[[Triangle], None]] = None) 
     each at its earliest-ordered node.
     """
     count = 0
-    for walked in forward_triangles(g):
+    for u, a, b, ua, ub, ab in forward_triangles(g):
         count += 1
         if sink is not None:
-            sink(make_triangle(*walked))
+            sink(Triangle(sorted3(u, a, b), sorted3(ua, ub, ab)))
     return count
-
-
-def triangle_of_wedge(g: Graph, center: int, a: int, b: int) -> Triangle | None:
-    """The triangle closing the wedge a-center-b, or None if {a,b} is absent."""
-    if a == b:
-        raise ValueError("wedge endpoints must be distinct")
-    if not g.has_edge(center, a) or not g.has_edge(center, b):
-        raise ValueError(f"({a}, {b}) are not both neighbors of {center}")
-    if not g.has_edge(a, b):
-        return None
-    return make_triangle(center, a, b, g.edge_id(center, a), g.edge_id(center, b), g.edge_id(a, b))

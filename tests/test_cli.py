@@ -391,6 +391,7 @@ def test_non_finite_flag_is_usage_error(tmp_path, capsys, argv):
         (["gadget", "ladder", "-x", "0"], "0"),
         (["gadget", "bipartite-apex", "-s", "0"], "0"),
         (["gen", "random", "-3", "0.5"], "-3"),
+        (["gadget", "blowup", "-q", "2", "--max-edges", "-1", "{k3}"], "-1"),
     ],
 )
 def test_integer_flag_out_of_range_is_usage_error(tmp_path, capsys, argv, value):
@@ -611,8 +612,15 @@ def test_directory_input_is_io_error(tmp_path, capsys):
     assert err.startswith("trusslab: error:")
 
 
-def test_bench_unknown_estimator_is_data_error(tmp_path, capsys):
+def test_bench_bad_estimator_list_is_usage_error(tmp_path, capsys):
     corpus = bench_corpus(tmp_path)
-    code, _, err = run_cli(capsys, "bench", "--corpus", corpus, "--estimators", "bogus")
-    assert code == 1
-    assert "trusslab: error: unknown estimator" in err
+    unknown = "must be exact, approx or threshold, got bogus"
+    for value, message in [
+        ("bogus", unknown),
+        ("exact,bogus", unknown),
+        (",", "empty estimator list: ','"),
+    ]:
+        code, out, err = run_cli(capsys, "bench", "--corpus", corpus, "--estimators", value)
+        assert code == 2
+        assert out == ""
+        assert f"argument --estimators: {message}" in err

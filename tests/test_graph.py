@@ -420,3 +420,30 @@ def test_bucket_queue_decrease_pulls_cursor_back():
     assert q.pop_min() == (1, 4)
     with pytest.raises(ValueError):
         BucketQueue([1]).decrease([0, 0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_bucket_queue_matches_brute_min(data):
+    keys = data.draw(st.lists(st.integers(0, 15), min_size=1, max_size=30))
+    items = st.integers(0, len(keys) - 1)
+    q = BucketQueue(keys)
+    live = dict(enumerate(keys))
+    while live:
+        # A batch repeats items and names popped ones, which the queue
+        # skips; a live item occurs at most as often as its key allows.
+        batch = []
+        for item in data.draw(st.lists(items, max_size=2 * len(keys))):
+            if item not in live:
+                batch.append(item)
+            elif live[item]:
+                live[item] -= 1
+                batch.append(item)
+        q.decrease(batch)
+        for _ in range(min(len(live), data.draw(st.integers(1, 3)))):
+            key, item = min((k, i) for i, k in live.items())
+            assert q.pop_min() == (item, key)
+            del live[item]
+            assert len(q) == len(live)
+    with pytest.raises(IndexError):
+        q.pop_min()

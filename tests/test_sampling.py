@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from trusslab import sampling
-from trusslab.gadgets import bipartite_apex, blowup, complete_graph
+from trusslab.gadgets import bipartite_apex, blowup, complete_graph, ladder_gadget
 from trusslab.graph import build_graph, degeneracy_order, forward_wedge_count
 from trusslab.sampling import (
     HypergraphSample,
@@ -24,7 +24,13 @@ from trusslab.sampling import (
     sample_size_target,
     sample_wedges_fixed_p,
 )
-from trusslab.triangles import compute_supports, forward_rows, list_triangles
+from trusslab.triangles import (
+    compute_supports,
+    forward_rows,
+    forward_triangles,
+    list_triangles,
+    sorted3,
+)
 
 
 # -------------------------------------------------------- geometric skip ----
@@ -246,12 +252,20 @@ def test_doubling_loop_matches_reference_pass(monkeypatch):
 
 
 def test_huge_zeta_forces_exact_fallback():
-    g = complete_graph(5)
-    info = degeneracy_order(g)
-    s = sample_hypergraph(g, info, SamplerConfig(epsilon=0.5, zeta=1e6, seed=0))
-    assert s.fell_back_to_exact
-    assert len(s.hyperedges) == 10
-    assert s.realized_p == 1.0
+    # The fallback keeps every triangle, in forward-wedge listing order.
+    graphs = [
+        complete_graph(5),
+        bipartite_apex(4),
+        ladder_gadget(6),
+        gnp_random_graph(40, 0.3, seed=2),
+    ]
+    for g in graphs:
+        info = degeneracy_order(g)
+        s = sample_hypergraph(g, info, SamplerConfig(epsilon=0.5, zeta=1e6, seed=0))
+        assert s.fell_back_to_exact
+        assert s.realized_p == 1.0
+        assert s.hyperedges == [sorted3(x, y, z) for *_, x, y, z in forward_triangles(g)]
+        assert len(s.hyperedges) == compute_supports(g).triangle_count > 0
 
 
 def test_triangle_free_gives_empty_hyperedges():

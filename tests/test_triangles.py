@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import given, settings
 
 import oracles
@@ -7,11 +6,7 @@ from test_truss import _hub_graph
 from trusslab.gadgets import bipartite_apex, blowup, complete_graph
 from trusslab.graph import build_graph
 from trusslab.sampling import gnp_random_graph
-from trusslab.triangles import (
-    compute_supports,
-    list_triangles,
-    triangle_of_wedge,
-)
+from trusslab.triangles import compute_supports, list_triangles
 
 
 def test_supports_k3():
@@ -98,30 +93,3 @@ def test_listing_matches_brute_enumeration(g):
         assert t.nodes == tuple(sorted(t.nodes))
         assert t.edges == tuple(sorted(t.edges))
         assert all(table.support[e] >= 1 for e in t.edges)
-
-
-def test_wedge_closure_k3():
-    g = complete_graph(3)
-    t = triangle_of_wedge(g, 0, 1, 2)
-    assert t is not None and t.nodes == (0, 1, 2)
-
-
-def test_wedge_open_path():
-    g = build_graph([(1, 0), (0, 2)])
-    assert triangle_of_wedge(g, 0, 1, 2) is None
-
-
-def test_wedge_requires_neighbors():
-    g = build_graph([(0, 1), (2, 3)])
-    with pytest.raises(ValueError):
-        triangle_of_wedge(g, 0, 1, 2)
-    with pytest.raises(ValueError):
-        triangle_of_wedge(g, 0, 1, 1)
-
-
-def test_wedge_matches_listing_on_k4():
-    g = complete_graph(4)
-    listed = []
-    list_triangles(g, listed.append)
-    t = triangle_of_wedge(g, 0, 1, 2)
-    assert t in listed
