@@ -34,7 +34,7 @@ from .sampling import (
     sample_hypergraph,
 )
 from .triangles import _common_neighbor_counts, _neighbor_sets, compute_supports
-from .truss import _peel_from_supports, suffix_support_profile
+from .truss import suffix_support_profile, truss_decomposition
 
 
 @dataclass(frozen=True)
@@ -248,11 +248,11 @@ def estimate_trussness(
     growth = 1 + (eps_exact if pseudocode_growth else eps_prime)
     eps_prime_float = float(eps_prime)
 
-    supports = compute_supports(g_in)
-    t_in = _peel_from_supports(g_in, supports)[0].trussness
+    decomp, order = truss_decomposition(g_in)
+    t_in = decomp.trussness
     n_w = 6 * g_in.n + 3
     m_w = 36 * g_in.m + 3
-    tri_w = 216 * supports.triangle_count + 1
+    tri_w = 216 * sum(order.forward_support) + 1
     t_w = max(6 * t_in, 1)
     d_w = max(6 * degeneracy_order(g_in).degeneracy, 2)
     x_cap = min(2 * d_w + 2, math.ceil(2 * math.sqrt(m_w)))

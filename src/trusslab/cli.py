@@ -8,10 +8,11 @@ Exit codes: 0 success, 1 I/O or data errors, 2 usage errors.
 Each analysis subcommand is a small computation ``(g, args) -> (lines,
 report fields)``, and each graph builder a function returning the built
 graph; one runner per kind loads the input, times the computation, writes
-the output and reports, so those steps are written once.  Line outputs are
-streamed with one ``writelines``, never built as one string.  The argument
-parser, runners included, is built once per process, so in-process callers
-of ``main`` pay for it once.
+the output and reports, so those steps are written once.  Each subcommand is
+declared once, by ``_command``, which also gives it its input argument and
+``--out``.  Line outputs are streamed with one ``writelines``, never built as
+one string.  The argument parser, runners included, is built once per
+process, so in-process callers of ``main`` pay for it once.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import IO, Callable, Iterator, Sequence
@@ -35,7 +35,7 @@ from .graph import Graph, degeneracy_order, forward_wedge_count
 from .io import load_graph, write_edge_list
 from .sampling import SamplerConfig, gnp_random_graph, sample_hypergraph
 from .triangles import compute_supports, list_triangles
-from .truss import _peel_from_supports, truss_decomposition
+from .truss import truss_decomposition
 
 
 def _report(command: str, **fields) -> None:
@@ -153,12 +153,17 @@ def _seed_list(text: str) -> list[int]:
     return seeds
 
 
-def _add_input(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("input", nargs="?", default="-", help="edge-list file, or - for stdin")
-
-
-def _add_out(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", default=None, metavar="PATH", help="write output to PATH")
+def _command(group, name: str, func: Callable, *, takes_input: bool = True,
+             **kwargs) -> argparse.ArgumentParser:
+    """Declare subcommand ``name`` of ``group``, run by ``func``, with its input
+    argument (unless ``takes_input`` is false) and ``--out``; ``kwargs`` go to
+    ``add_parser``.  Returns the parser, for the command's own flags."""
+    p = group.add_parser(name, **kwargs)
+    if takes_input:
+        p.add_argument("input", nargs="?", default="-", help="edge-list file, or - for stdin")
+    p.add_argument("--out", default=None, metavar="PATH", help="write output to PATH")
+    p.set_defaults(func=func)
+    return p
 
 
 # --------------------------------------------------------- computations ----
@@ -337,111 +342,70 @@ def _sandwiched(estimate: Fraction, exact: int, epsilon: float) -> bool:
     return estimate <= exact <= (3 + Fraction(str(epsilon))) * estimate
 
 
-@dataclass
-class _BenchGraph:
-    name: str
-    graph: Graph
-    triangles: int
-    trussness: int
-    exact_seconds: float
-
-
-def _bench_rows_for_graph(
-    bg: _BenchGraph,
-    estimators: Sequence[str],
-    epsilons: Sequence[float],
-    zetas: Sequence[float],
-    seeds: Sequence[int],
-    timing: bool,
-) -> list[list[str]]:
-    rows: list[list[str]] = []
-
-    def row(kind, estimator, *, eps=None, zeta=None, seed=None, estimate=None,
-            ratio=None, within=None, fell_back=None, secs=None):
-        # Numeric specs print a bool flag as 1 or 0.
-        def text(value, spec=""):
-            return "" if value is None else format(value, spec)
-
-        rows.append(
-            [
-                kind,
-                bg.name,
-                estimator,
-                text(eps, "g"),
-                text(zeta, "g"),
-                text(seed),
-                str(bg.graph.n),
-                str(bg.graph.m),
-                str(bg.triangles),
-                str(bg.trussness),
-                text(estimate),
-                text(ratio, ".10g"),
-                text(within, ".10g"),
-                text(fell_back, "d"),
-                "" if secs is None else (f"{secs:.6f}" if timing else "0"),
-            ]
-        )
-
-    cells: list[tuple[str, float | None, Fraction, float]] = []
-    if "exact" in estimators:
-        cells.append(("exact", None, Fraction(bg.trussness), bg.exact_seconds))
-    if "threshold" in estimators:
-        for eps in epsilons:
+def _bench_rows(shared: dict, g: Graph, exact_seconds: float, args) -> list[dict]:
+    """The CSV rows of one corpus graph, each the ``shared`` columns plus its
+    own; a column that a row lacks is written empty."""
+    t = shared["exact_trussness"]
+    # A template with no field writes 0 whatever the time.
+    seconds = "0" if args.no_timing else "{:.6f}"
+    cells: list[tuple[str, dict, Fraction | int, bool, float]] = []
+    if "exact" in args.estimators:
+        cells.append(("exact", {}, t, True, exact_seconds))
+    if "threshold" in args.estimators:
+        for eps in args.epsilons:
             start = time.perf_counter()
-            est = threshold_estimate(bg.graph, eps)
-            cells.append(("threshold", eps, est, time.perf_counter() - start))
-    for estimator, eps, est, secs in cells:
-        within = eps is None or _sandwiched(est, bg.trussness, eps)
-        for kind in ("run", "summary"):
-            row(kind, estimator, eps=eps, estimate=est, ratio=_ratio(est, bg.trussness),
-                within=within, secs=secs)
-    if "approx" in estimators:
-        for eps in epsilons:
-            for zeta in zetas:
+            est = threshold_estimate(g, eps)
+            cells.append(("threshold", {"epsilon": f"{eps:g}"}, est, _sandwiched(est, t, eps),
+                          time.perf_counter() - start))
+    rows: list[dict] = []
+    for estimator, grid, est, within, secs in cells:
+        row = {**shared, "estimator": estimator, **grid, "estimate": est,
+               "ratio": f"{_ratio(est, t):.10g}", "within": f"{within:d}",
+               "seconds": seconds.format(secs)}
+        rows += [{"kind": "run", **row}, {"kind": "summary", **row}]
+    if "approx" in args.estimators:
+        for eps in args.epsilons:
+            for zeta in args.zetas:
+                cell = {**shared, "estimator": "approx", "epsilon": f"{eps:g}",
+                        "zeta": f"{zeta:g}"}
                 ratios: list[float] = []
                 hits = 0
-                for seed in seeds:
+                for seed in args.seeds:
                     start = time.perf_counter()
-                    result = estimate_trussness(bg.graph, eps, zeta=zeta, seed=seed)
+                    result = estimate_trussness(g, eps, zeta=zeta, seed=seed)
                     secs = time.perf_counter() - start
-                    ratio = _ratio(result.estimate, bg.trussness)
-                    within = _within(result.estimate, bg.trussness, eps)
+                    ratio = _ratio(result.estimate, t)
+                    within = _within(result.estimate, t, eps)
                     ratios.append(ratio)
                     hits += within
-                    row("run", "approx", eps=eps, zeta=zeta, seed=seed, estimate=result.estimate,
-                        ratio=ratio, within=within, fell_back=result.all_rounds_fell_back,
-                        secs=secs)
-                row("summary", "approx", eps=eps, zeta=zeta, ratio=sum(ratios) / len(ratios),
-                    within=hits / len(seeds))
+                    rows.append({"kind": "run", **cell, "seed": seed, "estimate": result.estimate,
+                                 "ratio": f"{ratio:.10g}", "within": f"{within:d}",
+                                 "fell_back": f"{result.all_rounds_fell_back:d}",
+                                 "seconds": seconds.format(secs)})
+                rows.append({"kind": "summary", **cell,
+                             "ratio": f"{sum(ratios) / len(ratios):.10g}",
+                             "within": f"{hits / len(args.seeds):.10g}"})
     return rows
 
 
 def cmd_bench(args) -> None:
     paths = _corpus_paths(args.corpus)
-    graphs: list[_BenchGraph] = []
+    rows: list[dict] = []
     for path in paths:
         g, _ = load_graph(path)
         start = time.perf_counter()
-        supports = compute_supports(g)
-        decomp, _ = _peel_from_supports(g, supports)
+        decomp, order = truss_decomposition(g)
         secs = time.perf_counter() - start
-        name = os.path.splitext(os.path.basename(path))[0]
-        graphs.append(
-            _BenchGraph(name, g, supports.triangle_count, decomp.trussness, secs)
-        )
-
-    timing = not args.no_timing
-    blocks = [
-        _bench_rows_for_graph(bg, args.estimators, args.epsilons, args.zetas, args.seeds, timing)
-        for bg in graphs
-    ]
+        # A peel counts each triangle once, at the pop of its first edge.
+        shared = {"graph": os.path.splitext(os.path.basename(path))[0], "n": g.n, "m": g.m,
+                  "triangles": sum(order.forward_support), "exact_trussness": decomp.trussness}
+        rows += _bench_rows(shared, g, secs, args)
 
     with _open_out(args.out) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(BENCH_COLUMNS)
-        for block in blocks:
-            writer.writerows(block)
-    _report("bench", result=f"{len(graphs)} graphs", estimators=",".join(args.estimators))
+        writer = csv.DictWriter(out, BENCH_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    _report("bench", result=f"{len(paths)} graphs", estimators=",".join(args.estimators))
 
 
 # ----------------------------------------------------------------- main ----
@@ -463,19 +427,13 @@ def build_parser() -> argparse.ArgumentParser:
     truss = sub.add_parser("truss", help="trussness and truss decompositions")
     truss_sub = truss.add_subparsers(dest="subcommand", required=True)
 
-    p = truss_sub.add_parser("exact", help="print the graph trussness")
-    _add_input(p)
-    _add_out(p)
-    p.set_defaults(func=_analysis("truss exact", _truss_exact))
+    _command(truss_sub, "exact", _analysis("truss exact", _truss_exact),
+             help="print the graph trussness")
+    _command(truss_sub, "decompose", _analysis("truss decompose", _truss_decompose),
+             help="print per-edge trussness")
 
-    p = truss_sub.add_parser("decompose", help="print per-edge trussness")
-    _add_input(p)
-    _add_out(p)
-    p.set_defaults(func=_analysis("truss decompose", _truss_decompose))
-
-    p = truss_sub.add_parser("approx", help="randomized trussness estimate")
-    _add_input(p)
-    _add_out(p)
+    p = _command(truss_sub, "approx", _analysis("truss approx", _truss_approx),
+                 help="randomized trussness estimate")
     p.add_argument("--epsilon", type=_unit_open_interval, default=0.5)
     p.add_argument("--zeta", type=_positive_float, default=110.0)
     p.add_argument("--seed", type=int, default=0)
@@ -484,90 +442,71 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="grow the marker size by (1+epsilon) instead of (1+epsilon/6)",
     )
-    p.set_defaults(func=_analysis("truss approx", _truss_approx))
 
-    p = truss_sub.add_parser("threshold", help="deterministic (3+eps) estimate")
-    _add_input(p)
-    _add_out(p)
+    p = _command(truss_sub, "threshold", _analysis("truss threshold", _truss_threshold),
+                 help="deterministic (3+eps) estimate")
     p.add_argument("--epsilon", type=_positive_float, default=0.1)
-    p.set_defaults(func=_analysis("truss threshold", _truss_threshold))
 
     triangles = sub.add_parser("triangles", help="triangle counting and listing")
     tri_sub = triangles.add_subparsers(dest="subcommand", required=True)
-    p = tri_sub.add_parser("count")
-    _add_input(p)
-    _add_out(p)
-    p.set_defaults(func=_analysis("triangles count", _triangles_count))
-    p = tri_sub.add_parser("list")
-    _add_input(p)
-    _add_out(p)
-    p.set_defaults(func=_analysis("triangles list", _triangles_list))
+    _command(tri_sub, "count", _analysis("triangles count", _triangles_count))
+    _command(tri_sub, "list", _analysis("triangles list", _triangles_list))
 
-    p = sub.add_parser("order", help="degeneracy order (or exact truss order)")
-    _add_input(p)
-    _add_out(p)
-    # --edges selects the computation, and with it the reported command.
+    p = _command(sub, "order", _analysis("order", _node_order),
+                 help="degeneracy order (or exact truss order)")
+    # --edges selects the computation, and with it the reported command;
+    # without it, func keeps the default that _command set.
     p.add_argument(
         "--edges",
         dest="func",
         action="store_const",
         const=_analysis("order --edges", _edge_order),
-        default=_analysis("order", _node_order),
         help="order edges by min-support peeling",
     )
 
-    p = sub.add_parser("sample", help="sample the triangle hypergraph")
-    _add_input(p)
-    _add_out(p)
+    p = _command(sub, "sample", _analysis("sample", _sample),
+                 help="sample the triangle hypergraph")
     p.add_argument("--epsilon", type=_unit_open_interval, default=0.5)
     p.add_argument("--zeta", type=_positive_float, default=110.0)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_analysis("sample", _sample))
 
     gadget = sub.add_parser("gadget", help="graph constructions")
     gadget_sub = gadget.add_subparsers(dest="subcommand", required=True)
 
-    p = gadget_sub.add_parser("blowup", help="materialized q-fold blow-up")
-    _add_input(p)
-    _add_out(p)
+    p = _command(gadget_sub, "blowup", _builder("gadget blowup", _gadget_blowup),
+                 help="materialized q-fold blow-up")
     p.add_argument("-q", type=_positive_int, required=True)
     p.add_argument("--max-edges", type=_count, default=10_000_000)
-    p.set_defaults(func=_builder("gadget blowup", _gadget_blowup))
 
-    p = gadget_sub.add_parser("spurious", help="append disjoint marker cliques")
-    _add_input(p)
-    _add_out(p)
+    p = _command(gadget_sub, "spurious", _builder("gadget spurious", _gadget_spurious),
+                 help="append disjoint marker cliques")
     p.add_argument("-x", type=_count, required=True)
-    p.set_defaults(func=_builder("gadget spurious", _gadget_spurious))
 
-    p = gadget_sub.add_parser("ladder", help="clique with graded pendants")
-    _add_out(p)
+    p = _command(gadget_sub, "ladder", cmd_gadget_ladder, takes_input=False,
+                 help="clique with graded pendants")
     p.add_argument("-x", type=_positive_int, required=True)
-    p.set_defaults(func=cmd_gadget_ladder)
 
-    p = gadget_sub.add_parser("bipartite-apex", help="complete bipartite plus apex")
-    _add_out(p)
+    p = _command(gadget_sub, "bipartite-apex",
+                 _builder("gadget bipartite-apex", _gadget_bipartite_apex), takes_input=False,
+                 help="complete bipartite plus apex")
     p.add_argument("-s", "--side", dest="side", type=_positive_int, required=True)
-    p.set_defaults(func=_builder("gadget bipartite-apex", _gadget_bipartite_apex))
 
     gen = sub.add_parser("gen", help="graph generators")
     gen_sub = gen.add_subparsers(dest="subcommand", required=True)
-    p = gen_sub.add_parser("random", help="Erdos-Renyi G(n, p)")
-    _add_out(p)
+    p = _command(gen_sub, "random", _builder("gen random", _gen_random), takes_input=False,
+                 help="Erdos-Renyi G(n, p)")
     p.add_argument("n", type=_count)
     p.add_argument("p", type=_probability)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_builder("gen random", _gen_random))
 
-    p = sub.add_parser("bench", help="accuracy/runtime table over a corpus")
-    _add_out(p)
+    p = _command(sub, "bench", cmd_bench, takes_input=False,
+                 help="accuracy/runtime table over a corpus")
     p.add_argument("--corpus", required=True, help="directory of .edges files or a manifest")
     p.add_argument("--estimators", type=_estimator_list, default="exact,approx,threshold")
     p.add_argument("--epsilons", type=_comma_list(_unit_open_interval, "float"), default=(0.3,))
     p.add_argument("--zetas", type=_comma_list(_positive_float, "float"), default=(110.0,))
     p.add_argument("--seeds", type=_seed_list, default=(0,))
     p.add_argument("--no-timing", action="store_true", help="zero the seconds column")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

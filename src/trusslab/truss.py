@@ -30,7 +30,9 @@ class EdgeOrder:
 
     ``forward_support[i]`` counts the triangles that ``order[i]`` forms with
     edges at positions >= i.  For an exact truss order this equals the
-    minimum residual support of the whole suffix.
+    minimum residual support of the whole suffix.  Each triangle is counted
+    once, at its first edge in the order, so ``sum(forward_support)`` is the
+    graph's triangle count T.
     """
 
     order: list[int]

@@ -1,3 +1,4 @@
+import csv
 import io
 import os
 import re
@@ -534,20 +535,38 @@ def test_bench_deterministic_without_timing(tmp_path, capsys):
     assert first == second
 
 
+def test_bench_timed_rows(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "bench", "--corpus", bench_corpus(tmp_path), "--seeds", "0:2")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    runs = [r for r in rows if r["kind"] == "run"]
+    assert runs and all(re.fullmatch(r"\d+\.\d{6}", r["seconds"]) for r in runs)
+    summaries = 0
+    for run, r in zip(rows, rows[1:]):
+        if r["kind"] == "summary" and r["estimator"] != "approx":
+            assert r == {**run, "kind": "summary"}  # the run's seconds included
+            summaries += 1
+    assert summaries == 4  # exact and threshold on each of the two graphs
+    approx = [r for r in rows if r["kind"] == "summary" and r["estimator"] == "approx"]
+    assert len(approx) == 2
+    assert all(r["seconds"] == r["seed"] == "" for r in approx)
+
+
 def test_bench_exact_computes_supports_once_per_graph(tmp_path, capsys, monkeypatch):
-    import trusslab.cli as cli
+    import trusslab.truss as truss
 
     d = tmp_path / "corpus"
     d.mkdir()
     (d / "k5.edges").write_text(k5_text())
     calls = []
-    real = cli.compute_supports
+    real = truss.compute_supports
 
     def counting(g):
         calls.append(g.m)
         return real(g)
 
-    monkeypatch.setattr(cli, "compute_supports", counting)
+    # The bench's exact cell reaches the supports through truss_decomposition.
+    monkeypatch.setattr(truss, "compute_supports", counting)
     code, out, _ = run_cli(capsys, "bench", "--corpus", str(d), "--estimators", "exact")
     assert code == 0
     assert calls == [10]

@@ -7,20 +7,25 @@ when the bench CSV dropped its ``reused`` column, and again when its
 t~ <= t <= (3+eps)·t~ sandwich (six fields went 0 -> 1).  The top-level
 ``sample`` goldens all fall back to p = 1, so ``sampled/gnp40`` pins a run
 whose doubling passes really sample; its edge file sits in a subdirectory
-because ``bench`` reads every ``*.edges`` file at the top level.  Regenerate
-them only for a deliberate change of output:
+because ``bench`` reads every ``*.edges`` file at the top level.
+``help.out`` holds ``--help`` of every parser level at 100 columns, as
+Python 3.11's argparse lays it out.  Regenerate them only for a deliberate
+change of output:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 from __future__ import annotations
 
+import argparse
 import os
+import sys
 from contextlib import redirect_stdout
+from unittest import mock
 
 import pytest
 
-from trusslab.cli import main
+from trusslab.cli import build_parser, main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 # gnp_random_graph(9, 0.5, 4), bipartite_apex(3) and ladder_gadget(4)
@@ -51,6 +56,23 @@ def expected_path(case: str) -> str:
     return os.path.join(GOLDEN, f"{case}.out")
 
 
+def parser_levels(parser: argparse.ArgumentParser, path: tuple[str, ...] = ()):
+    """The argv prefix of every parser level: the top, each group, each leaf."""
+    yield path
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from parser_levels(sub, (*path, name))
+
+
+def write_help() -> None:
+    """Print ``--help`` of every parser level, each under a ``$`` line."""
+    with mock.patch.dict(os.environ, {"COLUMNS": "100"}):
+        for path in parser_levels(build_parser()):
+            print("$ trusslab", *path, "--help", flush=True)
+            assert main([*path, "--help"]) == 0
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_stdout_matches_golden(case, capsys):
     assert main(CASES[case]) == 0
@@ -58,7 +80,16 @@ def test_stdout_matches_golden(case, capsys):
         assert capsys.readouterr().out == fh.read()
 
 
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse layout varies by version")
+def test_help_matches_golden(capsys):
+    write_help()
+    with open(expected_path("help"), encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
 if __name__ == "__main__":
     for case, argv in CASES.items():
         with open(expected_path(case), "w", encoding="utf-8") as out, redirect_stdout(out):
             main(argv)
+    with open(expected_path("help"), "w", encoding="utf-8") as out, redirect_stdout(out):
+        write_help()

@@ -75,6 +75,7 @@ def test_peeling_order_properties(g):
     assert fwd == order.forward_support
     assert fwd == min_sup  # exact truss order: always the residual minimum
     assert is_exact_truss_order(g, order.order)
+    assert sum(order.forward_support) == len(oracles.brute_triangles(g))
 
 
 def test_suffix_profile_matches_reference():
