@@ -19,17 +19,12 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Sequence, Sized
 
-from .gadgets import (
-    add_spurious_cliques,
-    blowup,
-    complete_graph,
-    disjoint_union,
-    spurious_clique_budget,
-)
+from .gadgets import blowup, complete_graph, disjoint_union, spurious_clique_budget
 from .graph import BucketQueue, Graph, degeneracy_order
 from .sampling import (
     HypergraphSample,
     SamplerConfig,
+    _MarkerRounds,
     fallback_certain,
     sample_hypergraph,
 )
@@ -109,10 +104,15 @@ def approx_truss_order(g: Graph, cfg: SamplerConfig) -> ApproxTrussOrder:
 
     When the sampler falls back to exact enumeration the result is an exact
     truss order of g, since peeling the full hypergraph coincides with
-    min-support edge peeling.
+    min-support edge peeling; the order and its forward degrees then come
+    from that peel (``truss_decomposition``), which costs about a quarter
+    of the hypergraph peel of all T triangles.
     """
     info = degeneracy_order(g)
     sample = sample_hypergraph(g, info, cfg)
+    if sample.fell_back_to_exact:
+        exact = truss_decomposition(g)[1]
+        return ApproxTrussOrder(exact.order, exact.forward_support, sample)
     return hypergraph_degeneracy_order(sample)
 
 
@@ -185,20 +185,40 @@ class EstimateResult:
 
 
 def _round_order(
-    g: Graph, eps: float, zeta: float, seed: int
-) -> tuple[Iterator[int] | None, bool]:
-    """One marker round's edge order on the random path.
+    rounds: _MarkerRounds, x: int, eps: float, zeta: float, seed: int
+) -> tuple[bool | None, bool]:
+    """One marker round on the random path: (hit, fell_back).
 
-    Samples the triangle hypergraph and returns (order, fell_back).  The
-    order is an iterator over the sample's peel, which pops only as far as
-    ``marker_test`` reads it; it is None when the sampler fell back, since
-    the exact order's marker outcome is known in closed form.
+    Samples the working graph plus round x's marker cliques
+    (``_MarkerRounds.sample``) and returns the marker test's outcome on
+    the peel of that sample (``_marker_hit``).  When the doubling loop
+    reaches p = 1 the round falls back and hit is None: the exact order's
+    marker outcome is known in closed form, so no pass at p = 1 runs.
     """
-    cfg = SamplerConfig(epsilon=eps, zeta=zeta, seed=seed)
-    sample = sample_hypergraph(g, degeneracy_order(g), cfg)
-    if sample.fell_back_to_exact:
+    found = rounds.sample(x, eps, zeta, seed)
+    if found is None:
         return None, True
-    return (v for v, _ in _hypergraph_peel(sample)), False
+    kept, marks, p = found
+    working = HypergraphSample(rounds.graph.m, kept, p, False, seed)
+    return _marker_hit(working, marks), False
+
+
+def _marker_hit(working: HypergraphSample, marks: Sequence[int]) -> bool:
+    """``marker_test`` on the peel of a marker round's whole sample, from its
+    working part and the sampled degree of each marker edge.
+
+    No hyperedge spans both parts, so the whole peel merges the parts'
+    peels by (degree, id), and the marker edges have the larger ids.  The
+    marker part first pops at k*, the least marker-edge degree, once the
+    working part's next pop has a larger degree; so some marker edge
+    precedes a working edge iff the working part's peel, read lazily,
+    pops some edge at a degree above k*.  With k* = 0 that is any pop
+    above 0, which comes iff the working part kept a hyperedge.
+    """
+    least = min(marks)
+    if not least:
+        return bool(working.hyperedges)
+    return any(d > least for _, d in _hypergraph_peel(working))
 
 
 def estimate_trussness(
@@ -231,9 +251,14 @@ def estimate_trussness(
     G with trussness <= x before the first marker edge, whose support stays
     x until then and whose id is larger.  Such rounds are decided without
     building anything; the ~36m-edge G, with its ``materialize`` cap, is
-    built once, and only if some round can take the random path.  A round
-    whose sampler falls back anyway takes the same closed-form outcome.
-    ``zeta`` and ``seed`` are the samplers' (see ``SamplerConfig``).
+    built once, and only if some round can take the random path.  Its
+    degeneracy order, forward rows and W are then computed once
+    (``_MarkerRounds``), and no round builds an augmented graph: the
+    cliques' part of the order and their wedges follow in closed form.  A
+    round whose doubling reaches p = 1 takes the same closed-form outcome
+    without a pass at p = 1.  Seeds, samples and outcomes are those of
+    sampling each materialised augmented graph.  ``zeta`` and ``seed`` are
+    the samplers' (see ``SamplerConfig``).
 
     ``pseudocode_growth`` grows x by (1 + epsilon) per round instead of
     (1 + eps'); coarser, but cheaper on high-trussness inputs.
@@ -256,7 +281,7 @@ def estimate_trussness(
     t_w = max(6 * t_in, 1)
     d_w = max(6 * degeneracy_order(g_in).degeneracy, 2)
     x_cap = min(2 * d_w + 2, math.ceil(2 * math.sqrt(m_w)))
-    working: Graph | None = None
+    rounds: _MarkerRounds | None = None
 
     x = 1
     t_tilde = 1
@@ -275,14 +300,14 @@ def estimate_trussness(
         ):
             hit = x < t_w
         else:
-            if working is None:
-                working = disjoint_union(blowup(g_in, 6).materialize(), complete_graph(3))
-            augmented = add_spurious_cliques(working, x)
-            order, fell_back = _round_order(
-                augmented.graph, eps_prime_float, zeta, base + len(trace)
-            )
+            if rounds is None:
+                rounds = _MarkerRounds(
+                    disjoint_union(blowup(g_in, 6).materialize(), complete_graph(3))
+                )
+            hit, fell_back = _round_order(rounds, x, eps_prime_float, zeta, base + len(trace))
             all_fell_back = all_fell_back and fell_back
-            hit = x < t_w if order is None else marker_test(order, augmented.is_spurious)
+            if hit is None:
+                hit = x < t_w
         trace.append((x, hit))
         if not hit:
             break

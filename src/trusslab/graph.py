@@ -6,6 +6,11 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+# Node ids must be below this: every id up to the largest is a node with its
+# own neighbor map, so a single edge line with a huge id would otherwise
+# allocate maps until memory runs out.
+NODE_ID_LIMIT = 10_000_000
+
 
 class Graph:
     """Undirected simple graph with dense edge identifiers.
@@ -65,13 +70,18 @@ def build_graph(edges: Iterable[tuple[int, int]], node_count: int | None = None)
     thus fills in ascending edge-id order.  ``node_count`` may enlarge the
     node universe beyond ``max(endpoint) + 1`` (isolated nodes are permitted
     but never created implicitly); an endpoint at or past it is rejected.
+    Node ids and ``node_count`` are bounded by ``NODE_ID_LIMIT``, checked
+    before any map is allocated for them.
 
     The endpoints of each new edge are swapped for the graph's own ``int``
     of that node before they are stored, so a node id above CPython's small
     int cache costs one object per node, not one per occurrence.
     """
-    if node_count is not None and node_count < 0:
-        raise ValueError(f"negative node_count {node_count}")
+    if node_count is not None:
+        if node_count < 0:
+            raise ValueError(f"negative node_count {node_count}")
+        if node_count > NODE_ID_LIMIT:
+            raise ValueError(f"node_count {node_count} above the node-id limit {NODE_ID_LIMIT}")
     adj: list[dict[int, int]] = [{} for _ in range(node_count or 0)]
     n = len(adj)
     node = list(range(n))
@@ -84,6 +94,8 @@ def build_graph(edges: Iterable[tuple[int, int]], node_count: int | None = None)
         if v >= n:
             if node_count is not None:
                 raise ValueError(f"node id {v} not below node_count {node_count}")
+            if v >= NODE_ID_LIMIT:
+                raise ValueError(f"node id {v} not below the node-id limit {NODE_ID_LIMIT}")
             adj.extend([{} for _ in range(v + 1 - n)])
             node.extend(range(n, v + 1))
             n = v + 1

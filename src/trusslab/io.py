@@ -12,7 +12,7 @@ import sys
 from array import array
 from typing import IO, Iterable, Sequence
 
-from .graph import Graph, build_graph
+from .graph import NODE_ID_LIMIT, Graph, build_graph
 
 
 class EdgeListError(ValueError):
@@ -25,19 +25,21 @@ class EdgeListError(ValueError):
 
 def parse_edge_lines(lines: Iterable[str]) -> tuple[list[tuple[int, int]], list[bool]]:
     """Parse raw lines into (edges, spurious flags), both in input order."""
-    us, vs, flags = _parse_columns(lines)
+    us, vs, flags, _ = _parse_columns(lines)
     return list(zip(us, vs)), list(map(bool, flags))
 
 
-def _parse_columns(lines: Iterable[str]) -> tuple[array, array, bytearray]:
+def _parse_columns(lines: Iterable[str]) -> tuple[array, array, bytearray, list[int]]:
     """Parse raw lines into two endpoint columns and a column of spurious
-    flags (0 or 1), in input order; a node id that a signed 64-bit column
-    cannot hold is rejected."""
-    us, vs, flags = array("q"), array("q"), bytearray()
+    flags (0 or 1), in input order, plus the numbers of the lines that hold
+    no edge; a node id that a signed 64-bit column cannot hold is
+    rejected."""
+    us, vs, flags, blank = array("q"), array("q"), bytearray(), []
     for line_no, raw in enumerate(lines, start=1):
         body, _, comment = raw.partition("#")
         fields = body.split()
         if not fields:
+            blank.append(line_no)
             continue
         if len(fields) != 2:
             raise EdgeListError(line_no, f"expected two node ids, got {body.strip()!r}")
@@ -53,7 +55,7 @@ def _parse_columns(lines: Iterable[str]) -> tuple[array, array, bytearray]:
         except OverflowError:
             raise EdgeListError(line_no, f"node id too large in {body.strip()!r}") from None
         flags.append("spurious" in comment)
-    return us, vs, flags
+    return us, vs, flags, blank
 
 
 def load_graph(source: str | IO[str]) -> tuple[Graph, list[bool]]:
@@ -62,7 +64,10 @@ def load_graph(source: str | IO[str]) -> tuple[Graph, list[bool]]:
     Returns the graph plus per-edge spurious flags aligned with edge ids.
     Flags of dropped duplicate/self-loop lines follow the first surviving
     occurrence of each edge.  The lines are parsed into compact columns
-    (8 bytes per endpoint, 1 per flag), not a list of per-edge tuples.
+    (8 bytes per endpoint, 1 per flag), not a list of per-edge tuples.  A
+    node id at or above ``NODE_ID_LIMIT`` is an ``EdgeListError``:
+    ``build_graph`` stops at it before allocating a map for it, and only
+    then is its line located.
     """
     if isinstance(source, str):
         if source == "-":
@@ -73,8 +78,13 @@ def load_graph(source: str | IO[str]) -> tuple[Graph, list[bool]]:
 
 
 def _load_stream(fh: IO[str]) -> tuple[Graph, list[bool]]:
-    us, vs, raw_flags = _parse_columns(fh)
-    g = build_graph(zip(us, vs))
+    us, vs, raw_flags, blank = _parse_columns(fh)
+    try:
+        g = build_graph(zip(us, vs))
+    except ValueError:
+        # Parsed ids are non-negative, so the node-id limit is what failed.
+        _reject_large_id(us, vs, blank)
+        raise
     if not any(raw_flags):
         return g, [False] * g.m
     flags = bytearray(g.m)
@@ -83,6 +93,22 @@ def _load_stream(fh: IO[str]) -> tuple[Graph, list[bool]]:
         if u != v:
             flags[g.edge_id(u, v)] = flag
     return g, list(map(bool, flags))
+
+
+def _reject_large_id(us: array, vs: array, blank: list[int]) -> None:
+    """Raise the ``EdgeListError`` of the first edge line with a node id at
+    or above ``NODE_ID_LIMIT``, if any; ``blank`` numbers the lines without
+    an edge."""
+    edge = next((k for k, (u, v) in enumerate(zip(us, vs)) if max(u, v) >= NODE_ID_LIMIT), None)
+    if edge is None:
+        return
+    line_no = edge + 1
+    for skipped in blank:
+        if skipped > line_no:
+            break
+        line_no += 1
+    big = max(us[edge], vs[edge])
+    raise EdgeListError(line_no, f"node id {big} not below the node-id limit {NODE_ID_LIMIT}")
 
 
 def write_edge_list(fh: IO[str], g: Graph, spurious: Sequence[bool] | None = None) -> None:

@@ -11,7 +11,8 @@ every round, the peel with a removed-edge array and one heap push per
 decrement, the hypergraph peel that recounts every degree per pop, the
 quadratic suffix replay, the marker estimator that
 materialises every round, the marker test that scans the whole order, the
-skip pass that scans for each probed wedge, and G(n, p) drawn skip by skip.
+skip pass that scans for each probed wedge, the doubling loop that walks
+every pass, and G(n, p) drawn skip by skip.
 """
 
 from __future__ import annotations
@@ -459,6 +460,27 @@ def reference_skip_pass(
             out.append(sorted3(ids[i], ids[j], closing))
         serial += geometric_skip(p, rng)
     return out
+
+
+def reference_sample_hypergraph(g: Graph, cfg: SamplerConfig) -> HypergraphSample:
+    """The doubling loop walking every pass with ``reference_skip_pass``:
+    from the first p, double p until a pass keeps the target size, or run
+    the pass at p = 1 once p reaches 1."""
+    info = degeneracy_order(g)
+    W = forward_wedge_count(g, info)
+    if W == 0:
+        return HypergraphSample(g.m, [], 1.0, True, cfg.seed)
+    rows = list(forward_rows(g, info.order, info.positions))
+    eps = effective_epsilon(cfg.epsilon, g.n)
+    p = initial_probability(g.m, W, eps, cfg.zeta)
+    target = sample_size_target(g.m, eps, cfg.zeta)
+    rng = random.Random(cfg.seed)
+    while p < 1.0:
+        sample = reference_skip_pass(g, rows, p, rng)
+        if len(sample) >= target:
+            return HypergraphSample(g.m, sample, p, False, cfg.seed)
+        p *= 2.0
+    return HypergraphSample(g.m, reference_skip_pass(g, rows, 1.0, rng), 1.0, True, cfg.seed)
 
 
 def reference_gnp_edges(n: int, p: float, seed: int) -> list[tuple[int, int]]:

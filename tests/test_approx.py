@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,13 +12,16 @@ from oracles import (
     reference_estimate_trussness,
     reference_hypergraph_peel,
     reference_marker_test,
+    reference_round_order,
     reference_threshold_rounds,
 )
 from test_cli import run_cli
 from test_graph import small_graphs
 from test_truss import _hub_graph
+from trusslab import approx
 from trusslab.approx import (
     _hypergraph_peel,
+    _marker_hit,
     _round_order,
     approx_order_holds,
     approx_truss_order,
@@ -33,17 +37,19 @@ from trusslab.gadgets import (
     blowup,
     complete_graph,
     disjoint_union,
+    ladder_gadget,
     spurious_clique_budget,
 )
 from trusslab.graph import build_graph, degeneracy_order, forward_wedge_count
 from trusslab.sampling import (
     HypergraphSample,
     SamplerConfig,
+    _MarkerRounds,
+    _skip_pass,
     gnp_random_graph,
-    sample_hypergraph,
     sample_wedges_fixed_p,
 )
-from trusslab.triangles import compute_supports, list_triangles
+from trusslab.triangles import compute_supports, forward_rows, list_triangles
 from trusslab.truss import is_exact_truss_order, truss_decomposition, trussness
 
 
@@ -108,6 +114,18 @@ def test_fallback_order_is_exact():
     assert order.sample.fell_back_to_exact
     assert is_exact_truss_order(g, order.order)
     assert approx_order_holds(g, order.order, 0.0)
+
+
+def test_fallback_order_is_the_fallback_sample_peel():
+    """A fallen-back order comes from the exact peel; it equals the
+    hypergraph peel of the fallback sample, which holds every triangle."""
+    graphs = [gnp_random_graph(25, p, seed) for p in (0.2, 0.4, 0.6) for seed in range(10)]
+    graphs += [bipartite_apex(5), ladder_gadget(7), complete_graph(9)]
+    for gi, g in enumerate(graphs):
+        order = approx_truss_order(g, SamplerConfig(epsilon=0.5, seed=gi))
+        assert order.sample.fell_back_to_exact, gi
+        want = hypergraph_degeneracy_order(order.sample)
+        assert (order.order, order.forward_degrees) == (want.order, want.forward_degrees), gi
 
 
 def test_triangle_free_any_order_valid():
@@ -208,14 +226,45 @@ def test_marker_length_check_covers_every_sized_order(kind):
             marker_test(kind(order), [True])
 
 
-def test_round_order_pops_the_sample_peel_lazily():
-    g = gnp_random_graph(40, 0.5, 3)
-    cfg = SamplerConfig(epsilon=0.5, zeta=0.05, seed=1)
-    sample = sample_hypergraph(g, degeneracy_order(g), cfg)
-    assert not sample.fell_back_to_exact
-    order, fell_back = _round_order(g, 0.5, 0.05, 1)
-    assert not fell_back and not isinstance(order, list)
-    assert list(order) == hypergraph_degeneracy_order(sample).order
+def _working(g):
+    return disjoint_union(blowup(g, 6).materialize(), complete_graph(3))
+
+
+def test_round_order_pops_the_sample_peel_lazily(monkeypatch):
+    """A sampled round's outcome and fallback flag equal those of the round
+    run on its materialised augmented graph, and a hit that peels reads the
+    working part's peel only up to its first pop above k*."""
+    working = _working(gnp_random_graph(7, 0.6, 3))
+    rounds = _MarkerRounds(working)
+    pops = []
+    peel = approx._hypergraph_peel
+
+    def counting(sample):
+        for pop in peel(sample):
+            pops.append(pop)
+            yield pop
+
+    monkeypatch.setattr(approx, "_hypergraph_peel", counting)
+    kinds = Counter()
+    for x in range(1, 20):
+        for seed in range(3):
+            pops.clear()
+            hit, fell_back = _round_order(rounds, x, 0.5 / 6, 0.001, seed)
+            read = list(pops)
+            augmented = add_spurious_cliques(working, x)
+            order, ref_fell_back = reference_round_order(augmented.graph, 0.5 / 6, 0.001, seed)
+            assert fell_back == ref_fell_back, (x, seed)
+            if fell_back:
+                assert hit is None
+                kinds["fell back"] += 1
+                continue
+            assert hit == reference_marker_test(order, augmented.is_spurious), (x, seed)
+            kinds[hit] += 1
+            if hit and read:
+                kinds["peeled hit"] += 1
+                assert len(read) < working.m
+                assert all(d < read[-1][1] for _, d in read[:-1])
+    assert set(kinds) == {True, False, "fell back", "peeled hit"}
 
 
 def test_marker_on_exact_order_of_k6_with_small_x():
@@ -230,6 +279,33 @@ def test_marker_on_exact_order_with_large_x():
     augmented = add_spurious_cliques(g, 3)
     _, order = truss_decomposition(augmented.graph)
     assert marker_test(order.order, augmented.is_spurious) is False
+
+
+def test_marker_hit_is_the_marker_test_of_the_whole_peel():
+    """The core test on k* (the least sampled marker-edge degree) gives the
+    marker test on the full peel of the materialised sample, for hits and
+    misses, with k* both 0 and above."""
+    outcomes = Counter()
+    graphs = [_working(complete_graph(4)), _working(bipartite_apex(2)),
+              _working(gnp_random_graph(6, 0.6, 1)), complete_graph(8)]
+    for gi, g in enumerate(graphs):
+        for x in (1, 2, 3, 5, 8, 11):
+            augmented = add_spurious_cliques(g, x)
+            aug, spurious = augmented.graph, augmented.is_spurious
+            info = degeneracy_order(aug)
+            rows = list(forward_rows(aug, info.order, info.positions))
+            for p in (0.002, 0.05, 0.2, 0.5, 0.9):
+                for seed in range(3):
+                    full = _skip_pass(aug, rows, p, random.Random(seed))
+                    whole = HypergraphSample(aug.m, full, p, False, seed)
+                    want = marker_test(hypergraph_degeneracy_order(whole).order, spurious)
+                    kept = [h for h in full if not spurious[h[0]]]
+                    degree = Counter(e - g.m for h in full if spurious[h[0]] for e in h)
+                    marks = [degree[i] for i in range(aug.m - g.m)]
+                    working = HypergraphSample(g.m, kept, p, False, seed)
+                    assert _marker_hit(working, marks) is want, (gi, x, p, seed)
+                    outcomes[want, min(marks) > 0] += 1
+    assert set(outcomes) == {(True, False), (True, True), (False, False), (False, True)}
 
 
 # --------------------------------------------------------------- estimate ----
@@ -366,7 +442,16 @@ def test_working_graph_matches_closed_form():
             assert marker_test(order.order, augmented.is_spurious) == (x < t_working)
 
 
-def test_estimate_matches_materialised_reference():
+def _gnm_with_trussness(n, m, t):
+    """The first seeded G(n, m) with trussness t."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for seed in itertools.count():
+        g = build_graph(random.Random(seed).sample(pairs, m), node_count=n)
+        if trussness(g) == t:
+            return g
+
+
+def test_estimate_matches_materialised_reference(monkeypatch):
     """Identical results on every (graph, zeta), rotating eps, seed and growth."""
     zeta_grid = (110.0, 4.0, 0.05, 0.005, 0.001)
     modes = list(itertools.product((0.3, 0.5, 0.9), (0, 1, 7), (False, True)))
@@ -376,6 +461,18 @@ def test_estimate_matches_materialised_reference():
     # of blowup(K4, 2), and on the first graph one at x = t(G).
     cases.append((blowup(complete_graph(4), 2).materialize(), 0.005, 0.5, 0, False))
     cases.append((oracle_graphs()[0], 0.001, 0.5, 0, False))
+    # Like the bench's sampled cell: x grows to 45, past G's degeneracy, so
+    # the marker block follows G's last row and holds most of the wedges.
+    cases.append((_gnm_with_trussness(12, 40, 3), 0.001, 0.5, 0, False))
+    kinds = Counter()
+    round_order = approx._round_order
+
+    def counting(*args):
+        hit, fell_back = result = round_order(*args)
+        kinds["fell back" if fell_back else hit] += 1
+        return result
+
+    monkeypatch.setattr(approx, "_round_order", counting)
     sampled = 0
     for g, zeta, eps, seed, growth in cases:
         kwargs = dict(zeta=zeta, seed=seed, pseudocode_growth=growth)
@@ -384,6 +481,8 @@ def test_estimate_matches_materialised_reference():
         assert got == want, (list(g.edges()), eps, zeta, seed, growth)
         sampled += not want.all_rounds_fell_back
     assert sampled >= 10
+    assert kinds[True] and kinds[False] and kinds["fell back"], kinds
+    assert max(x for x, _ in got.trace) >= 45
 
 
 def test_cli_output_matches_materialised_reference(tmp_path, capsys, monkeypatch):

@@ -204,6 +204,27 @@ def test_id_past_the_endpoint_column_is_a_line_error(tmp_path, capsys):
     assert err == "trusslab: error: line 2: node id too large in '0 9223372036854775808'\n"
 
 
+@pytest.mark.parametrize("source", ["path", "stdin"])
+def test_id_at_the_node_limit_is_a_line_error(tmp_path, capsys, monkeypatch, source):
+    """Under a node-id limit of 100 (the real limit would allocate millions
+    of maps in a passing run), the first line with an id at or above it is
+    named, comment and blank lines counted."""
+    monkeypatch.setattr(trusslab.graph, "NODE_ID_LIMIT", 100)
+    monkeypatch.setattr(trusslab.io, "NODE_ID_LIMIT", 100)
+    text = "# header\n0 1\n\n1 2 # spurious\n99 3\n0 150\n150 0\n"
+    path = write_graph(tmp_path, "big.edges", text)
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        path = "-"
+    with pytest.raises(EdgeListError) as err:
+        load_graph(path if source == "path" else io.StringIO(text))
+    assert err.value.line_no == 6
+    code, out, err = run_cli(capsys, "truss", "exact", path)
+    assert (code, out) == (1, "")
+    assert err == "trusslab: error: line 6: node id 150 not below the node-id limit 100\n"
+    assert parse_edge_lines(text.splitlines())[0][-1] == (150, 0)
+
+
 @pytest.mark.parametrize(
     "line, parsed",
     [

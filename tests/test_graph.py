@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import trusslab.graph
 from conftest import figure_left_graph
 from trusslab.approx import approx_truss_order, estimate_trussness, threshold_rounds
 from trusslab.gadgets import (
@@ -75,6 +76,18 @@ def test_build_explicit_node_count_allows_isolated_nodes():
     # rejected before any neighbor map is allocated for the endpoint
     with pytest.raises(ValueError, match=r"node id 1000000000 .*node_count 3\b"):
         build_graph([(0, 1), (0, 10**9)], node_count=3)
+
+
+def test_build_rejects_ids_at_the_node_limit(monkeypatch):
+    """Under a node-id limit of 100, ids and node counts above it are
+    rejected before any neighbor map is allocated for them."""
+    monkeypatch.setattr(trusslab.graph, "NODE_ID_LIMIT", 100)
+    assert build_graph([(0, 99)]).n == 100
+    assert build_graph([], node_count=100).n == 100
+    with pytest.raises(ValueError, match=r"node id 100 not below the node-id limit 100$"):
+        build_graph([(0, 1), (100, 0)])
+    with pytest.raises(ValueError, match=r"node_count 101 above the node-id limit 100$"):
+        build_graph([], node_count=101)
 
 
 def _assert_builds_like_reference(edges, node_count=None):

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -9,7 +10,14 @@ from hypothesis import strategies as st
 
 import oracles
 from trusslab import sampling
-from trusslab.gadgets import bipartite_apex, blowup, complete_graph, ladder_gadget
+from trusslab.gadgets import (
+    add_spurious_cliques,
+    bipartite_apex,
+    blowup,
+    complete_graph,
+    disjoint_union,
+    ladder_gadget,
+)
 from trusslab.graph import build_graph, degeneracy_order, forward_wedge_count
 from trusslab.sampling import (
     HypergraphSample,
@@ -233,19 +241,135 @@ def test_pass_past_every_wedge_walks_no_row(p):
 
 
 def test_doubling_loop_matches_reference_pass(monkeypatch):
-    g = _gnm(120, 3000, 7)
-    info = degeneracy_order(g)
-    cfg = SamplerConfig(epsilon=0.5, zeta=0.05, seed=9)
-    got = sample_hypergraph(g, info, cfg)
-    passes = []
+    """The doubling loop, with the passes that its probe count decides,
+    keeps what walking every pass with the reference pass keeps.  At a
+    target of ~3 probes some counted passes reach it, so rng is restored
+    and the pass walks."""
+    walks, counted = [], []
+    probe_count = sampling._probe_count
 
     def reference(g, rows, p, rng):
-        passes.append(p)
+        walks.append(p)
         return oracles.reference_skip_pass(g, rows, p, rng)
 
+    def counting(wedges, p, rng, stop):
+        count = probe_count(wedges, p, rng, stop)
+        counted.append((p, count < stop))
+        return count
+
     monkeypatch.setattr(sampling, "_skip_pass", reference)
-    assert sample_hypergraph(g, info, cfg) == got
-    assert len(passes) >= 2 and not got.fell_back_to_exact
+    monkeypatch.setattr(sampling, "_probe_count", counting)
+    g = _gnm(120, 3000, 7)
+    cfg = SamplerConfig(epsilon=0.5, zeta=0.05, seed=9)
+    got = sample_hypergraph(g, degeneracy_order(g), cfg)
+    assert got == oracles.reference_sample_hypergraph(g, cfg)
+    assert not got.fell_back_to_exact
+    failed = [p for p, decided in counted if decided]
+    assert failed and walks and len(failed) + len(walks) >= 2
+    assert max(failed) < min(walks)
+    small = _gnm(30, 200, 2)
+    for seed in range(20):
+        cfg = SamplerConfig(epsilon=0.5, zeta=0.0005, seed=seed)
+        assert sample_hypergraph(small, degeneracy_order(small), cfg) == (
+            oracles.reference_sample_hypergraph(small, cfg)), seed
+    assert {decided for _, decided in counted} == {True, False}
+
+
+def test_probe_count_leaves_the_reference_pass_state():
+    """A pass decided by its probe count leaves the RNG where the walk of
+    that pass leaves it.  Every wedge of a clique closes, so there the
+    count is the reference sample's size; elsewhere it bounds it."""
+    graphs = [complete_graph(12), _gnm(30, 200, 2), _star_with_chords(40, 0.05, 4),
+              blowup(complete_graph(4), 2).materialize()]
+    for gi, g in enumerate(graphs):
+        info = degeneracy_order(g)
+        rows, W = _rows(g), forward_wedge_count(g, info)
+        for p in (1e-300, 0.003, 0.05, 0.4, 0.9):
+            for seed in range(3):
+                rng, ref = random.Random(seed), random.Random(seed)
+                want = oracles.reference_skip_pass(g, rows, p, ref)
+                count = sampling._probe_count(W, p, rng, W + 1)
+                assert rng.getstate() == ref.getstate(), (gi, p, seed)
+                if gi == 0:
+                    assert count == len(want), (p, seed)
+                assert count >= len(want), (gi, p, seed)
+                if count:
+                    stopped = sampling._probe_count(W, p, random.Random(seed), count)
+                    assert stopped == count
+
+
+# ------------------------------------------------------- marker rounds ----
+
+
+def _working_graphs():
+    """Working graphs of the estimator (6-fold blow-ups united with K3) and
+    plain graphs; between them round x's marker block lands first (K8,
+    whose least key is 7), mid-order and last."""
+    blown = [disjoint_union(blowup(g, 6).materialize(), complete_graph(3))
+             for g in (complete_graph(4), bipartite_apex(2), gnp_random_graph(6, 0.6, 1))]
+    return blown + [complete_graph(8), _gnm(30, 200, 2), _star_with_chords(25, 0.2, 3)]
+
+
+def _x_range(g):
+    """Every x that ``add_spurious_cliques`` accepts for g, from 1."""
+    return range(1, math.ceil(2 * math.sqrt(g.m)) + 1)
+
+
+def test_marker_block_merges_into_the_working_order():
+    """The augmented degeneracy order is G's order with the cliques inserted,
+    nodes in id order, at ``block_at``; positions, forward degrees and
+    forward rows follow, the clique rows being ``_clique_rows`` shifted to
+    the clique's node and edge ids."""
+    where = set()
+    for gi, g in enumerate(_working_graphs()):
+        rounds = sampling._MarkerRounds(g)
+        order, fwd = rounds.info.order, rounds.info.forward_degrees
+        for x in _x_range(g):
+            augmented = add_spurious_cliques(g, x)
+            aug = augmented.graph
+            info = degeneracy_order(aug)
+            size = x + 2
+            count, pairs = augmented.spurious_clique_count, math.comb(size, 2)
+            at = rounds.block_at(x)
+            where.add("first" if at == 0 else "last" if at == g.n else "mid")
+            merged = order[:at] + list(range(g.n, aug.n)) + order[at:]
+            assert info.order == merged, (gi, x)
+            rank = {u: i for i, u in enumerate(merged)}
+            assert info.positions == [rank[u] for u in range(aug.n)], (gi, x)
+            assert info.forward_degrees == fwd + [x + 1 - u for _ in range(count)
+                                                  for u in range(size)], (gi, x)
+            crows, links = sampling._clique_rows(size)
+            assert all(ids == [links[u] + b for b in later] for u, later, ids in crows)
+            block = [(g.n + c * size + u, [g.n + c * size + b for b in later],
+                      [g.m + c * pairs + e for e in ids])
+                     for c in range(count) for u, later, ids in crows]
+            head = [row for row in rounds.rows if rounds.info.positions[row[0]] < at]
+            want = head + block + rounds.rows[len(head):]
+            assert list(forward_rows(aug, info.order, info.positions)) == want, (gi, x)
+    assert where == {"first", "mid", "last"}
+
+
+def test_marker_pass_matches_the_materialised_pass():
+    """One marker pass keeps the working hyperedges and gives the marker-edge
+    degrees that ``_skip_pass`` on the materialised augmented graph gives,
+    split by ``is_spurious``, with the same RNG draws."""
+    for gi, g in enumerate(_working_graphs()):
+        rounds = sampling._MarkerRounds(g)
+        xs = sorted({1, 2, 5, math.ceil(2 * math.sqrt(g.m))})
+        for x in xs:
+            augmented = add_spurious_cliques(g, x)
+            aug, spurious = augmented.graph, augmented.is_spurious
+            rows = _rows(aug)
+            for p in (1e-300, 0.01, 0.2, 0.7, 1.0):
+                for seed in range(2):
+                    rng, ref = random.Random(seed), random.Random(seed)
+                    want = _skip_pass(aug, rows, p, ref)
+                    kept, marks = rounds.marker_pass(x, p, rng)
+                    assert all(spurious[a] == spurious[c] for a, _, c in want)
+                    degree = Counter(e - g.m for h in want if spurious[h[0]] for e in h)
+                    assert kept == [h for h in want if not spurious[h[0]]], (gi, x, p)
+                    assert marks == [degree[i] for i in range(aug.m - g.m)], (gi, x, p)
+                    assert rng.getstate() == ref.getstate(), (gi, x, p, seed)
 
 
 # -------------------------------------------------------- doubling loop ----
