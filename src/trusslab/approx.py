@@ -19,6 +19,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Sequence, Sized
 
+from . import gadgets, graph
 from .gadgets import blowup, complete_graph, disjoint_union, spurious_clique_budget
 from .graph import BucketQueue, Graph, degeneracy_order
 from .sampling import (
@@ -250,8 +251,8 @@ def estimate_trussness(
     marker test hits iff x < t(G): a (support, id) peel removes every edge of
     G with trussness <= x before the first marker edge, whose support stays
     x until then and whose id is larger.  Such rounds are decided without
-    building anything; the ~36m-edge G, with its ``materialize`` cap, is
-    built once, and only if some round can take the random path.  Its
+    building anything; the ~36m-edge G is built once, and only if some
+    round can take the random path (``_working_graph``).  Its
     degeneracy order, forward rows and W are then computed once
     (``_MarkerRounds``), and no round builds an augmented graph: the
     cliques' part of the order and their wedges follow in closed form.  A
@@ -301,9 +302,7 @@ def estimate_trussness(
             hit = x < t_w
         else:
             if rounds is None:
-                rounds = _MarkerRounds(
-                    disjoint_union(blowup(g_in, 6).materialize(), complete_graph(3))
-                )
+                rounds = _MarkerRounds(_working_graph(g_in))
             hit, fell_back = _round_order(rounds, x, eps_prime_float, zeta, base + len(trace))
             all_fell_back = all_fell_back and fell_back
             if hit is None:
@@ -326,6 +325,26 @@ def estimate_trussness(
     if first == last:
         return EstimateResult(Fraction(first), True, len(trace), trace, all_fell_back)
     return EstimateResult(Fraction(t_tilde, 6), False, len(trace), trace, all_fell_back)
+
+
+def _working_graph(g: Graph) -> Graph:
+    """The estimator's working graph: g blown up 6-fold, united with K3.
+
+    Its 6n+3 nodes and 36m+3 edges are held to ``graph.NODE_ID_LIMIT`` and
+    ``gadgets.MATERIALIZE_CAP``, read at call time, before anything is
+    built; a limit it would pass raises one ValueError line that names the
+    blow-up.
+    """
+    sizes = ((6 * g.n + 3, "nodes, above the node-id limit", graph.NODE_ID_LIMIT),
+             (36 * g.m + 3, "edges, above the blow-up edge cap", gadgets.MATERIALIZE_CAP))
+    for size, what, limit in sizes:
+        if size > limit:
+            raise ValueError(
+                f"the estimator's working graph (6-fold blow-up of the input plus a triangle)"
+                f" would have {size} {what} {limit}; a larger zeta decides more rounds in closed"
+                f" form, without building it"
+            )
+    return disjoint_union(blowup(g, 6).materialize(gadgets.MATERIALIZE_CAP), complete_graph(3))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ graph; one runner per kind loads the input, times the computation, writes
 the output and reports, so those steps are written once.  Each subcommand is
 declared once, by ``_command``, which also gives it its input argument and
 ``--out``.  Line outputs are streamed with one ``writelines``, never built as
-one string.  The argument parser, runners included, is built once per
+one string; rows of three integers go out a chunk of rows per string
+(``_triple_lines``).  The argument parser, runners included, is built once per
 process, so in-process callers of ``main`` pay for it once.
 """
 
@@ -30,7 +31,7 @@ from itertools import chain
 from typing import IO, Callable, Iterator, Sequence
 
 from .approx import estimate_trussness, threshold_estimate, threshold_rounds
-from .gadgets import add_spurious_cliques, bipartite_apex, blowup, ladder_gadget
+from .gadgets import MATERIALIZE_CAP, add_spurious_cliques, bipartite_apex, blowup, ladder_gadget
 from .graph import Graph, degeneracy_order, forward_wedge_count
 from .io import load_graph, write_edge_list
 from .sampling import SamplerConfig, gnp_random_graph, sample_hypergraph
@@ -168,6 +169,19 @@ def _command(group, name: str, func: Callable, *, takes_input: bool = True,
 
 # --------------------------------------------------------- computations ----
 
+_CHUNK = 4096  # rows per string of ``_triple_lines``
+_CHUNK_FORMAT = "%d %d %d\n" * _CHUNK
+
+
+def _triple_lines(rows: Sequence[tuple[int, int, int]]) -> Iterator[str]:
+    """The lines ``f"{a} {b} {c}\n"`` of integer rows (a, b, c), ``_CHUNK``
+    rows per string: one C-level format per chunk, and memory flat in the
+    row count."""
+    for start in range(0, len(rows), _CHUNK):
+        chunk = rows[start:start + _CHUNK]
+        form = _CHUNK_FORMAT if len(chunk) == _CHUNK else "%d %d %d\n" * len(chunk)
+        yield form % tuple(chain.from_iterable(chunk))
+
 
 def _truss_exact(g, args):
     decomp, _ = truss_decomposition(g)
@@ -216,7 +230,7 @@ def _triangles_list(g, args):
     rows: list[tuple[int, int, int]] = []
     count = list_triangles(g, lambda t: rows.append(t.nodes))
     rows.sort()
-    return (f"{a} {b} {c}\n" for a, b, c in rows), {"triangles": count}
+    return _triple_lines(rows), {"triangles": count}
 
 
 def _node_order(g, args):
@@ -246,7 +260,7 @@ def _sample(g, args):
         [f"# m={g.m} wedges={wedges} p={sample.realized_p:.10g}"
          f" fallback={'true' if sample.fell_back_to_exact else 'false'}"
          f" hyperedges={len(sample.hyperedges)} seed={sample.rng_seed}\n"],
-        (f"{a} {b} {c}\n" for a, b, c in sample.hyperedges),
+        _triple_lines(sample.hyperedges),
     )
     fields = {"result": len(sample.hyperedges), "seed": args.seed, "epsilon": args.epsilon,
               "zeta": args.zeta}
@@ -476,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(gadget_sub, "blowup", _builder("gadget blowup", _gadget_blowup),
                  help="materialized q-fold blow-up")
     p.add_argument("-q", type=_positive_int, required=True)
-    p.add_argument("--max-edges", type=_count, default=10_000_000)
+    p.add_argument("--max-edges", type=_count, default=MATERIALIZE_CAP)
 
     p = _command(gadget_sub, "spurious", _builder("gadget spurious", _gadget_spurious),
                  help="append disjoint marker cliques")

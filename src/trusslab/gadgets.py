@@ -11,6 +11,9 @@ from typing import Iterator
 
 from .graph import Graph, build_graph
 
+# Default edge cap of ``BlowupView.materialize``.
+MATERIALIZE_CAP = 10_000_000
+
 
 def complete_graph(k: int) -> Graph:
     if k < 1:
@@ -47,7 +50,7 @@ class BlowupView:
                 for j in range(q):
                     yield (a, v * q + j)
 
-    def materialize(self, max_edges: int = 10_000_000) -> Graph:
+    def materialize(self, max_edges: int = MATERIALIZE_CAP) -> Graph:
         """The explicit graph; refuses one of more than ``max_edges`` edges."""
         if self.m > max_edges:
             raise ValueError(f"refusing to materialize {self.m} edges (cap {max_edges})")

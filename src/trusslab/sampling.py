@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 from .gadgets import spurious_clique_budget
 from .graph import DegeneracyInfo, Graph, build_graph, degeneracy_order, forward_wedge_count
-from .triangles import ForwardRow, forward_rows, sorted3
+from .triangles import ForwardRow, forward_rows, forward_triangles, sorted3
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,8 @@ def geometric_skip(p: float, rng: random.Random) -> int:
     """Geometric(p) variate on {1, 2, ...}: trials until the first success.
 
     Inverse transform ceil(ln U / ln(1-p)) with U uniform on (0, 1); p = 1
-    always returns 1.
+    always returns 1.  The first skip of ``_skips``, so it draws what a
+    pass's first skip draws.
     """
     if not (0.0 < p <= 1.0):
         raise ValueError(f"p must be in (0, 1], got {p}")
@@ -85,12 +86,19 @@ def _skips(p: float, rng: random.Random) -> Iterator[int]:
     """Endless Geometric(p) skips, one ``rng.random()`` per skip (redrawn
     if 0); p = 1 steps by 1 without drawing.
 
+    ``gnp_random_graph`` walks its pairs with these skips; a sampler pass
+    takes only its first skip here and draws the rest inline, as
+    ``ceil(log(draw() or _positive(draw)) / lq)`` with ``draw`` =
+    ``rng.random`` and ``lq`` = log1p(-p): the same draws and values, with
+    no generator frame resumed per probe.
+
     log1p(-p) is taken once, and p is not checked: callers pass 0 < p <= 1.
     For p < 1 both logs are negative, with |ln U| >= 1.1e-16 and
     |ln(1-p)| <= 36.8, so the ratio is at least 3e-18 and every ceil is at
     least 1.  Below p ~ 2e-307, subnormal p included, ln U / ln(1-p) can
     overflow a float, so the ceil is taken exactly; every such skip exceeds
-    10^290 and a pass keeps nothing.
+    10^290, so a pass's first skip passes every wedge and the inline float
+    formula never runs at such a p.
     """
     if p == 1.0:
         while True:
@@ -111,11 +119,20 @@ def _skips(p: float, rng: random.Random) -> Iterator[int]:
         yield ceil(log(u) / lq)
 
 
+def _positive(draw: Callable[[], float]) -> float:
+    """The redraw of a ``draw()`` of 0.0: draws until one is positive."""
+    u = draw()
+    while u <= 0.0:
+        u = draw()
+    return u
+
+
 def _walk(
     rows: Sequence[ForwardRow],
     links: Sequence[dict[int, int]] | Sequence[int],
     gap: int,
-    skip: Callable[[], int],
+    draw: Callable[[], float],
+    lq: float,
     keep: Callable[[tuple[int, int, int]], object] | list[int],
     base: int = -1,
 ) -> int:
@@ -130,7 +147,9 @@ def _walk(
     k(k+1)/2 .. k(k+1)/2 + k, so k and then j follow from one isqrt.  The
     pairs (i, i+1..L-1) form segment i: the probes after the decoded one
     step j by their skips until j passes L-1, so only a probe that enters
-    a new segment decodes.  Each probe costs O(1).
+    a new segment decodes.  Each probe costs O(1), its skip included: it
+    is drawn in the loop that uses it, ``draw`` being ``rng.random`` and
+    ``lq`` log1p(-p) for a pass at 0 < p < 1 (see ``_skips``).
 
     A graph's rows (``base`` < 0) are probed through ``links``, its
     neighbor maps: a probed wedge closes iff the later node's map holds
@@ -142,7 +161,7 @@ def _walk(
     marker-edge degrees, and a probe adds 1 to it at the index of each of
     its three edges, with no lookup and no triple.
     """
-    isqrt = math.isqrt
+    isqrt, log, ceil = math.isqrt, math.log, math.ceil
     for u, later, ids in rows:
         last = len(later) - 1
         size = last * (last + 1) // 2
@@ -158,7 +177,7 @@ def _walk(
                     closing = closes(later[j])
                     if closing is not None:
                         keep(sorted3(a, ids[j], closing))
-                    j += skip()
+                    j += ceil(log(draw() or _positive(draw)) / lq)
             else:
                 a = later[i]
                 ub, ab = base + links[u], base + links[a]
@@ -168,7 +187,7 @@ def _walk(
                     keep[ua] += 1
                     keep[ub + b] += 1
                     keep[ab + b] += 1
-                    j += skip()
+                    j += ceil(log(draw() or _positive(draw)) / lq)
             gap = start + j
         gap -= size
     return gap
@@ -182,30 +201,40 @@ def _skip_pass(
     ``rows`` are g's forward rows (``forward_rows``) in degeneracy order,
     walked by ``_walk``, so each pass costs O(n + rows + probes).  A wedge
     is a pair of edges, so a first skip past m(m-1)/2 >= W walks no row.
+    At p = 1 every wedge is probed and nothing is drawn: the pass is the
+    triangle listing of the rows (``_closed_wedges``).
     """
+    if p == 1.0:
+        return _closed_wedges(g, rows)
     out: list[tuple[int, int, int]] = []
-    skip = _skips(p, rng).__next__
-    gap = skip() - 1
+    gap = next(_skips(p, rng)) - 1
     if gap >= g.m * (g.m - 1) // 2:
         return out
-    _walk(rows, list(map(g.neighbors, range(g.n))), gap, skip, out.append)
+    _walk(rows, list(map(g.neighbors, range(g.n))), gap, rng.random, math.log1p(-p), out.append)
     return out
 
 
+def _closed_wedges(g: Graph, rows: list[ForwardRow]) -> list[tuple[int, int, int]]:
+    """Every closed wedge of ``rows`` as an ascending edge-id triple, in the
+    order a pass at p = 1 probes them (``forward_triangles``)."""
+    return [sorted3(x, y, z) for *_, x, y, z in forward_triangles(g, rows)]
+
+
 def _probe_count(wedges: int, p: float, rng: random.Random, stop: int) -> int:
-    """How many of ``wedges`` wedges a pass at p probes, counted up to
-    ``stop``: the pass's skips drawn alone.
+    """How many of ``wedges`` wedges a pass at 0 < p < 1 probes, counted up
+    to ``stop``: the pass's skips drawn alone, inline as ``_walk`` draws
+    them.
 
     A pass draws one skip for its first probe and one after each probe, so
     when fewer than ``stop`` probes land, rng is left exactly as the walk
     of that pass would leave it.
     """
-    skip = _skips(p, rng).__next__
-    serial = skip() - 1
+    draw, log, ceil, lq = rng.random, math.log, math.ceil, math.log1p(-p)
+    serial = next(_skips(p, rng)) - 1
     for count in range(stop):
         if serial >= wedges:
             return count
-        serial += skip()
+        serial += ceil(log(draw() or _positive(draw)) / lq)
     return stop
 
 
@@ -300,10 +329,10 @@ def sample_hypergraph(g: Graph, info: DegeneracyInfo, cfg: SamplerConfig) -> Hyp
     """Sample the triangle hypergraph with probability doubling (``_double``).
 
     If p reaches 1 before a pass keeps the target size, the fallback flag
-    is set and one more pass runs at p = 1, which probes every forward
-    wedge without drawing and so keeps all triangles.  Identical (graph,
-    config) inputs give identical samples.  A zeta so small that the first
-    p underflows to 0 raises ValueError.
+    is set and one more pass runs at p = 1: the triangle listing, which
+    keeps all triangles and draws nothing.  Identical (graph, config)
+    inputs give identical samples.  A zeta so small that the first p
+    underflows to 0 raises ValueError.
     """
     W = forward_wedge_count(g, info)
     if W == 0:
@@ -374,24 +403,29 @@ class _MarkerRounds:
         Equals ``_skip_pass`` on the materialised augmented graph, with its
         RNG draws: G's rows before the cliques, then count * C(x+2, 3)
         clique wedges, all closed, then G's remaining rows.  Whole cliques
-        that no probe lands in are stepped over in one division.
+        that no probe lands in are stepped over in one division.  At p = 1
+        the pass draws nothing: it keeps G's triangles, and each marker
+        edge has the x triangles of its clique.
         """
         size = x + 2
         count = spurious_clique_budget(self.graph.m, x)
         pairs, per = math.comb(size, 2), math.comb(size, 3)
+        if p == 1.0:
+            return _closed_wedges(self.graph, self.rows), [x] * (count * pairs)
         split = bisect_left(self._row_at, self.block_at(x))
         crows, clinks = _clique_rows(size)
-        skip = _skips(p, rng).__next__
+        draw, lq = rng.random, math.log1p(-p)
         kept: list[tuple[int, int, int]] = []
         marks = [0] * (count * pairs)
-        gap = _walk(self.rows[:split], self._links, skip() - 1, skip, kept.append)
+        gap = _walk(self.rows[:split], self._links, next(_skips(p, rng)) - 1, draw, lq,
+                    kept.append)
         c, gap = divmod(gap, per)
         while c < count:
-            gap = _walk(crows, clinks, gap, skip, marks, c * pairs)
+            gap = _walk(crows, clinks, gap, draw, lq, marks, c * pairs)
             over, gap = divmod(gap, per)
             c += 1 + over
         gap += (c - count) * per
-        _walk(self.rows[split:], self._links, gap, skip, kept.append)
+        _walk(self.rows[split:], self._links, gap, draw, lq, kept.append)
         return kept, marks
 
     def sample(
@@ -428,8 +462,9 @@ def gnp_random_graph(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p) via the same geometric-skip machinery.
 
     Pairs (i, j), i < j, are serialized lexicographically and visited by
-    the skips of ``_skips``, so the cost is proportional to the number of
-    edges produced; p = 1 visits every pair.  Deterministic per seed.
+    the skips of ``_skips``, resumed once per edge, so the cost is
+    proportional to the number of edges produced; p = 1 visits every pair.
+    Deterministic per seed.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import random
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 import trusslab
 from conftest import FIGURE_LEFT_EDGES, edge_list_text
+from trusslab import cli
 from trusslab.cli import build_parser, main
 from trusslab.gadgets import complete_graph
 from trusslab.io import EdgeListError, load_graph, parse_edge_lines
@@ -469,6 +471,48 @@ def test_zeta_whose_first_p_underflows_is_one_line_error(tmp_path, capsys):
     assert out == ""
     assert err.startswith(f"trusslab: error: zeta={TINY} ")
     assert err.count("\n") == 1
+
+
+def test_working_graph_past_a_limit_is_one_line_error(tmp_path, capsys, monkeypatch):
+    """A round that can sample needs the estimator's 6n+3-node, 36m+3-edge
+    working graph; under a node-id limit of 100, or an edge cap one below
+    36m+3, a 20-node input stops on one line that names the blow-up, while
+    at zeta=110, where every round is decided in closed form, it runs."""
+    _, text, _ = run_cli(capsys, "gen", "random", "20", "0.4", "--seed", "3")
+    path = write_graph(tmp_path, "g20.edges", text)
+    g, _ = load_graph(path)
+    blown = ("trusslab: error: the estimator's working graph"
+             " (6-fold blow-up of the input plus a triangle)")
+    for module, name, limit, what in ((trusslab.graph, "NODE_ID_LIMIT", 100, "123 nodes"),
+                                      (trusslab.gadgets, "MATERIALIZE_CAP", 36 * g.m + 2,
+                                       f"{36 * g.m + 3} edges")):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, limit)
+            code, out, err = run_cli(capsys, "truss", "approx", "--zeta", "0.001", path)
+            assert (code, out) == (1, "")
+            assert err.startswith(f"{blown} would have {what}, above ")
+            assert "a larger zeta decides more rounds in closed form" in err
+            assert err.count("\n") == 1
+            code, out, _ = run_cli(capsys, "truss", "approx", "--zeta", "110", path)
+            assert code == 0 and out.startswith("estimate ")
+    monkeypatch.setattr(trusslab.gadgets, "MATERIALIZE_CAP", 36 * g.m + 3)
+    code, _, err = run_cli(capsys, "truss", "approx", "--zeta", "0.001", path)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("rows", [0, 1, cli._CHUNK - 1, cli._CHUNK, cli._CHUNK + 1,
+                                  3 * cli._CHUNK + 5])
+def test_triple_lines_match_the_line_format_across_chunks(rows):
+    """Chunked ``%d`` formatting gives the bytes of one f-string per row, at
+    and around every chunk boundary, with no string holding more than a
+    chunk of rows."""
+    rng = random.Random(rows)
+    triples = [(rng.randrange(10**9), rng.randrange(-5, 5), rng.randrange(2**40))
+               for _ in range(rows)]
+    parts = list(cli._triple_lines(triples))
+    assert "".join(parts) == "".join(f"{a} {b} {c}\n" for a, b, c in triples)
+    assert all(part.count("\n") <= cli._CHUNK for part in parts)
+    assert len(parts) == -(-rows // cli._CHUNK)
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

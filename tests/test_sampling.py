@@ -298,6 +298,65 @@ def test_probe_count_leaves_the_reference_pass_state():
                     assert stopped == count
 
 
+def _pass_graphs():
+    """The graphs of ``test_skip_pass_matches_reference``."""
+    return [_gnm(30, 60, 1), _gnm(30, 200, 2), _gnm(30, 400, 3), _star_with_chords(40, 0.02, 4),
+            complete_graph(8), blowup(complete_graph(4), 2).materialize(), _square_of_path(60),
+            complete_graph(30), _gnm(40, 600, 5)]
+
+
+def test_p1_pass_is_the_triangle_listing_and_draws_nothing():
+    """At p = 1 a pass probes every wedge: it keeps what the reference pass
+    keeps and leaves the RNG state as it found it."""
+    for gi, g in enumerate(_pass_graphs()):
+        rows, info = _rows(g), degeneracy_order(g)
+        for seed in range(2):
+            rng = random.Random(seed)
+            state = rng.getstate()
+            want = oracles.reference_skip_pass(g, rows, 1.0, random.Random(seed))
+            assert _skip_pass(g, rows, 1.0, rng) == want, gi
+            assert rng.getstate() == state, gi
+            assert sample_wedges_fixed_p(g, info, 1.0, seed).hyperedges == want, gi
+
+
+class _ZeroAt(random.Random):
+    """A ``random.Random`` whose ``random()`` returns 0.0 at the calls whose
+    1-based index mod 7 is 0 or 1: the first call, then runs of two zeros
+    that a skip must redraw past.  The underlying state advances on every
+    call."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = 0
+
+    def random(self):
+        u = super().random()
+        self.calls += 1
+        return 0.0 if self.calls % 7 < 2 else u
+
+
+def test_zero_draws_are_redrawn_in_every_pass_loop():
+    """A draw of 0.0 is redrawn wherever a skip is drawn: the first skip of a
+    pass and every inline skip of ``_skip_pass`` and ``_probe_count`` give
+    the reference pass's sample, count and RNG state."""
+    for gi, g in enumerate(_pass_graphs()):
+        rows = _rows(g)
+        W = forward_wedge_count(g, degeneracy_order(g))
+        draws = []
+        for p in (0.05, 0.3, 0.9):
+            ref = _ZeroAt(p)
+            want = oracles.reference_skip_pass(g, rows, p, ref)
+            draws.append(ref.calls)
+            rng = _ZeroAt(p)
+            assert _skip_pass(g, rows, p, rng) == want, (gi, p)
+            assert rng.getstate() == ref.getstate(), (gi, p)
+            rng = _ZeroAt(p)
+            assert sampling._probe_count(W, p, rng, W + 1) >= len(want), (gi, p)
+            assert rng.getstate() == ref.getstate(), (gi, p)
+        # some pass drew past calls 7 and 8, a run of zeros after the first skip
+        assert max(draws) >= 9, gi
+
+
 # ------------------------------------------------------- marker rounds ----
 
 
@@ -370,6 +429,26 @@ def test_marker_pass_matches_the_materialised_pass():
                     assert kept == [h for h in want if not spurious[h[0]]], (gi, x, p)
                     assert marks == [degree[i] for i in range(aug.m - g.m)], (gi, x, p)
                     assert rng.getstate() == ref.getstate(), (gi, x, p, seed)
+
+
+def test_zero_draws_are_redrawn_in_the_marker_pass():
+    """With draws of 0.0 in both of its loops, the working-graph rows and
+    the clique rows, a marker pass keeps what the reference pass on the
+    materialised augmented graph keeps, with its RNG state."""
+    for gi, g in enumerate(_working_graphs()):
+        rounds = sampling._MarkerRounds(g)
+        for x in sorted({1, 3, math.ceil(2 * math.sqrt(g.m))}):
+            augmented = add_spurious_cliques(g, x)
+            aug, spurious = augmented.graph, augmented.is_spurious
+            for p in (0.05, 0.4):
+                ref = _ZeroAt(x)
+                want = oracles.reference_skip_pass(aug, _rows(aug), p, ref)
+                rng = _ZeroAt(x)
+                kept, marks = rounds.marker_pass(x, p, rng)
+                degree = Counter(e - g.m for h in want if spurious[h[0]] for e in h)
+                assert kept == [h for h in want if not spurious[h[0]]], (gi, x, p)
+                assert marks == [degree[i] for i in range(aug.m - g.m)], (gi, x, p)
+                assert rng.getstate() == ref.getstate(), (gi, x, p)
 
 
 # -------------------------------------------------------- doubling loop ----
