@@ -40,7 +40,6 @@ from .sampling import (
 )
 from .triangles import (
     SupportTable,
-    Triangle,
     compute_supports,
     list_triangles,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "SamplerConfig",
     "SupportTable",
     "ThresholdRound",
-    "Triangle",
     "TrussDecomposition",
     "add_spurious_cliques",
     "approx_order_holds",

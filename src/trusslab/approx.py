@@ -29,7 +29,9 @@ from .sampling import (
     fallback_certain,
     sample_hypergraph,
 )
-from .triangles import _common_neighbor_counts, _neighbor_sets, compute_supports
+# compute_supports is unused here but stays bound: bench/selftest.py checks
+# that the bench's tracer wraps this module's binding of it.
+from .triangles import _common_neighbor_counts, _neighbor_sets, compute_supports  # noqa: F401
 from .truss import suffix_support_profile, truss_decomposition
 
 
@@ -122,12 +124,14 @@ def approx_order_holds(g: Graph, order: Sequence[int], epsilon: float) -> bool:
 
     Every edge's forward support must be at most
     max(T/m, (1+eps) * minimum residual support of its suffix), with T and m
-    taken from the graph the order was computed on.
+    taken from the graph the order was computed on.  T is the sum of the
+    forward supports, since each triangle counts once, at its first edge
+    in the order (``EdgeOrder``).
     """
     if g.m == 0:
         return True
     fwd, min_sup = suffix_support_profile(g, order)
-    density = Fraction(compute_supports(g).triangle_count, g.m)
+    density = Fraction(sum(fwd), g.m)
     factor = 1 + Fraction(str(epsilon))
     return all(
         f <= density or f <= factor * s for f, s in zip(fwd, min_sup)

@@ -35,7 +35,7 @@ from .gadgets import MATERIALIZE_CAP, add_spurious_cliques, bipartite_apex, blow
 from .graph import Graph, degeneracy_order, forward_wedge_count
 from .io import load_graph, write_edge_list
 from .sampling import SamplerConfig, gnp_random_graph, sample_hypergraph
-from .triangles import compute_supports, list_triangles
+from .triangles import compute_supports, forward_triangles, sorted3
 from .truss import truss_decomposition
 
 
@@ -227,10 +227,8 @@ def _triangles_count(g, args):
 
 
 def _triangles_list(g, args):
-    rows: list[tuple[int, int, int]] = []
-    count = list_triangles(g, lambda t: rows.append(t.nodes))
-    rows.sort()
-    return _triple_lines(rows), {"triangles": count}
+    rows = sorted(sorted3(u, a, b) for u, a, b, *_ in forward_triangles(g))
+    return _triple_lines(rows), {"triangles": len(rows)}
 
 
 def _node_order(g, args):

@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 from .gadgets import spurious_clique_budget
 from .graph import DegeneracyInfo, Graph, build_graph, degeneracy_order, forward_wedge_count
-from .triangles import ForwardRow, forward_rows, forward_triangles, sorted3
+from .triangles import ForwardRow, forward_rows, list_triangles, sorted3
 
 
 @dataclass(frozen=True)
@@ -201,23 +201,17 @@ def _skip_pass(
     ``rows`` are g's forward rows (``forward_rows``) in degeneracy order,
     walked by ``_walk``, so each pass costs O(n + rows + probes).  A wedge
     is a pair of edges, so a first skip past m(m-1)/2 >= W walks no row.
-    At p = 1 every wedge is probed and nothing is drawn: the pass is the
-    triangle listing of the rows (``_closed_wedges``).
+    At p = 1 every wedge is probed and nothing is drawn: the pass is
+    ``list_triangles(g, rows)``, every closed wedge in probe order.
     """
     if p == 1.0:
-        return _closed_wedges(g, rows)
+        return list_triangles(g, rows)
     out: list[tuple[int, int, int]] = []
     gap = next(_skips(p, rng)) - 1
     if gap >= g.m * (g.m - 1) // 2:
         return out
     _walk(rows, list(map(g.neighbors, range(g.n))), gap, rng.random, math.log1p(-p), out.append)
     return out
-
-
-def _closed_wedges(g: Graph, rows: list[ForwardRow]) -> list[tuple[int, int, int]]:
-    """Every closed wedge of ``rows`` as an ascending edge-id triple, in the
-    order a pass at p = 1 probes them (``forward_triangles``)."""
-    return [sorted3(x, y, z) for *_, x, y, z in forward_triangles(g, rows)]
 
 
 def _probe_count(wedges: int, p: float, rng: random.Random, stop: int) -> int:
@@ -329,9 +323,9 @@ def sample_hypergraph(g: Graph, info: DegeneracyInfo, cfg: SamplerConfig) -> Hyp
     """Sample the triangle hypergraph with probability doubling (``_double``).
 
     If p reaches 1 before a pass keeps the target size, the fallback flag
-    is set and one more pass runs at p = 1: the triangle listing, which
-    keeps all triangles and draws nothing.  Identical (graph, config)
-    inputs give identical samples.  A zeta so small that the first p
+    is set and one more pass runs at p = 1: the triangle listing
+    (``list_triangles``), which keeps all triangles and draws nothing.
+    Identical (graph, config) inputs give identical samples.  A zeta so small that the first p
     underflows to 0 raises ValueError.
     """
     W = forward_wedge_count(g, info)
@@ -403,15 +397,13 @@ class _MarkerRounds:
         Equals ``_skip_pass`` on the materialised augmented graph, with its
         RNG draws: G's rows before the cliques, then count * C(x+2, 3)
         clique wedges, all closed, then G's remaining rows.  Whole cliques
-        that no probe lands in are stepped over in one division.  At p = 1
-        the pass draws nothing: it keeps G's triangles, and each marker
-        edge has the x triangles of its clique.
+        that no probe lands in are stepped over in one division.  Needs
+        0 < p < 1, as ``_double`` walks only below 1; a round that reaches
+        p = 1 falls back without a pass.
         """
         size = x + 2
         count = spurious_clique_budget(self.graph.m, x)
         pairs, per = math.comb(size, 2), math.comb(size, 3)
-        if p == 1.0:
-            return _closed_wedges(self.graph, self.rows), [x] * (count * pairs)
         split = bisect_left(self._row_at, self.block_at(x))
         crows, clinks = _clique_rows(size)
         draw, lq = rng.random, math.log1p(-p)

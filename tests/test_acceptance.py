@@ -121,9 +121,7 @@ def test_criterion_05_full_hypergraph_degeneracy():
     start = time.perf_counter()
     for i in range(200):
         g = gnp_random_graph(4 + i % 7, (0.3, 0.5, 0.7)[i % 3], 11000 + i)
-        hyperedges = []
-        list_triangles(g, lambda t: hyperedges.append(t.edges))
-        sample = HypergraphSample(g.m, hyperedges, 1.0, True, 0)
+        sample = HypergraphSample(g.m, list_triangles(g), 1.0, True, 0)
         order = hypergraph_degeneracy_order(sample)
         assert order.degeneracy == trussness(g)
     elapsed = time.perf_counter() - start

@@ -9,10 +9,12 @@ from hypothesis import given, settings
 
 from conftest import FIGURE_LEFT_TRUSSNESS, edge_list_text, figure_left_graph, gadget_graphs
 from oracles import (
+    brute_triangles,
     reference_estimate_trussness,
     reference_hypergraph_peel,
     reference_marker_test,
     reference_round_order,
+    reference_suffix_support_profile,
     reference_threshold_rounds,
 )
 from test_cli import run_cli
@@ -54,9 +56,7 @@ from trusslab.truss import is_exact_truss_order, truss_decomposition, trussness
 
 
 def full_hypergraph(g) -> HypergraphSample:
-    hyperedges = []
-    list_triangles(g, lambda t: hyperedges.append(t.edges))
-    return HypergraphSample(g.m, hyperedges, 1.0, True, 0)
+    return HypergraphSample(g.m, list_triangles(g), 1.0, True, 0)
 
 
 # ---------------------------------------------------- hypergraph peeling ----
@@ -155,6 +155,45 @@ def test_sampled_orders_are_loosely_approximate():
     assert random_path >= 90
     assert loose >= random_path - 5
     assert strict >= 1
+
+
+def _reference_order_holds(g, order, epsilon) -> bool:
+    """``approx_order_holds`` from the reference profile and a brute-force
+    triangle count."""
+    fwd, min_sup = reference_suffix_support_profile(g, order)
+    density = Fraction(len(brute_triangles(g)), g.m)
+    factor = 1 + Fraction(str(epsilon))
+    return all(f <= density or f <= factor * s for f, s in zip(fwd, min_sup))
+
+
+def test_approx_order_holds_takes_T_from_the_order():
+    """K5's exact order with edge (1, 4) moved last: edge (2, 3) then has
+    forward support 1 against a suffix minimum of 0, so only the T/m term
+    can accept it.  T/m = 10/10 accepts; one more disjoint edge makes it
+    10/11 and rejects.  Random orders agree with the brute-force check."""
+    k5 = complete_graph(5)
+    order = [0, 1, 2, 3, 4, 5, 7, 8, 9, 6]
+    assert [k5.pair(e) for e in (7, 6)] == [(2, 3), (1, 4)]
+    fwd, min_sup = reference_suffix_support_profile(k5, order)
+    assert (fwd[6], min_sup[6]) == (1, 0)
+    assert sum(fwd) == len(brute_triangles(k5)) == 10
+    assert approx_order_holds(k5, order, 0.0)
+    assert not all(f <= s for f, s in zip(fwd, min_sup))
+    wider = disjoint_union(k5, build_graph([(0, 1)]))
+    assert not approx_order_holds(wider, order + [10], 0.5)
+
+    rng = random.Random(5)
+    graphs = [k5, wider, complete_graph(6), bipartite_apex(3), gnp_random_graph(9, 0.6, 4)]
+    decided = 0
+    for g in graphs:
+        for _ in range(40):
+            order = rng.sample(range(g.m), g.m)
+            for eps in (0.0, 0.5):
+                want = _reference_order_holds(g, order, eps)
+                assert approx_order_holds(g, order, eps) == want
+                fwd, min_sup = reference_suffix_support_profile(g, order)
+                decided += want and any(f > (1 + eps) * s for f, s in zip(fwd, min_sup))
+    assert decided
 
 
 # ------------------------------------------------------------ marker test ----

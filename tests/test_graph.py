@@ -265,8 +265,7 @@ def _order_sensitive_outputs(g):
     """Everything computed from a graph's neighbor maps, seeded."""
     decomp, order = truss_decomposition(g)
     info = degeneracy_order(g)
-    triangles = []
-    list_triangles(g, triangles.append)
+    triangles = list_triangles(g)
     cfg = SamplerConfig(epsilon=0.5, zeta=0.01, seed=3)
     approx = approx_truss_order(g, cfg)
     return (

@@ -35,9 +35,7 @@ from trusslab.sampling import (
 from trusslab.triangles import (
     compute_supports,
     forward_rows,
-    forward_triangles,
     list_triangles,
-    sorted3,
 )
 
 
@@ -131,10 +129,8 @@ def test_fixed_p_binomial_frequency_on_k3():
 def test_open_wedges_are_rejected():
     g = bipartite_apex(4)
     info = degeneracy_order(g)
-    triangles = set()
-    list_triangles(g, lambda t: triangles.add(t.edges))
     s = sample_wedges_fixed_p(g, info, 1.0, 0)
-    assert set(s.hyperedges) == triangles
+    assert set(s.hyperedges) == set(list_triangles(g))
 
 
 def test_hyperedges_overlap_in_at_most_one_vertex():
@@ -419,7 +415,7 @@ def test_marker_pass_matches_the_materialised_pass():
             augmented = add_spurious_cliques(g, x)
             aug, spurious = augmented.graph, augmented.is_spurious
             rows = _rows(aug)
-            for p in (1e-300, 0.01, 0.2, 0.7, 1.0):
+            for p in (1e-300, 0.01, 0.2, 0.7):
                 for seed in range(2):
                     rng, ref = random.Random(seed), random.Random(seed)
                     want = _skip_pass(aug, rows, p, ref)
@@ -429,6 +425,30 @@ def test_marker_pass_matches_the_materialised_pass():
                     assert kept == [h for h in want if not spurious[h[0]]], (gi, x, p)
                     assert marks == [degree[i] for i in range(aug.m - g.m)], (gi, x, p)
                     assert rng.getstate() == ref.getstate(), (gi, x, p, seed)
+
+
+def test_marker_rounds_walk_only_below_p1():
+    """A marker round whose doubling reaches p = 1 falls back without a pass
+    at p = 1: every p that ``sample`` hands to ``marker_pass`` is below 1,
+    also in rounds that walk and then fall back."""
+    walked_fallbacks = 0
+    for g in _working_graphs()[1:5]:
+        rounds = sampling._MarkerRounds(g)
+        seen = []
+        marker_pass = rounds.marker_pass
+
+        def spy(x, p, rng):
+            seen.append(p)
+            return marker_pass(x, p, rng)
+
+        rounds.marker_pass = spy
+        for x in (1, 2, 3):
+            for seed in range(5):
+                before = len(seen)
+                if rounds.sample(x, 0.5, 0.03, seed) is None and len(seen) > before:
+                    walked_fallbacks += 1
+        assert all(0.0 < p < 1.0 for p in seen)
+    assert walked_fallbacks >= 10
 
 
 def test_zero_draws_are_redrawn_in_the_marker_pass():
@@ -467,7 +487,7 @@ def test_huge_zeta_forces_exact_fallback():
         s = sample_hypergraph(g, info, SamplerConfig(epsilon=0.5, zeta=1e6, seed=0))
         assert s.fell_back_to_exact
         assert s.realized_p == 1.0
-        assert s.hyperedges == [sorted3(x, y, z) for *_, x, y, z in forward_triangles(g)]
+        assert s.hyperedges == list_triangles(g)
         assert len(s.hyperedges) == compute_supports(g).triangle_count > 0
 
 
@@ -528,10 +548,8 @@ def test_fallback_certain_predicts_the_sampler():
 def test_sampled_hyperedges_are_real_triangles():
     g = gnp_random_graph(12, 0.5, 8)
     info = degeneracy_order(g)
-    triangles = set()
-    list_triangles(g, lambda t: triangles.add(t.edges))
     s = sample_hypergraph(g, info, SamplerConfig(epsilon=0.9, zeta=0.02, seed=5))
-    assert set(s.hyperedges) <= triangles
+    assert set(s.hyperedges) <= set(list_triangles(g))
     assert len(set(s.hyperedges)) == len(s.hyperedges)
 
 

@@ -1,12 +1,16 @@
+import random
+from collections import Counter
+from itertools import chain
+
 from hypothesis import given, settings
 
 import oracles
 from test_graph import small_graphs
 from test_truss import _hub_graph
 from trusslab.gadgets import bipartite_apex, blowup, complete_graph
-from trusslab.graph import build_graph
-from trusslab.sampling import gnp_random_graph
-from trusslab.triangles import compute_supports, list_triangles
+from trusslab.graph import build_graph, degeneracy_order
+from trusslab.sampling import _skip_pass, gnp_random_graph
+from trusslab.triangles import compute_supports, forward_rows, list_triangles
 
 
 def test_supports_k3():
@@ -68,28 +72,37 @@ def test_supports_match_forward_walk_reference():
 
 
 def test_list_k4():
-    assert list_triangles(complete_graph(4)) == 4
+    assert len(list_triangles(complete_graph(4))) == 4
 
 
 def test_list_blowup_of_k3():
     mat = blowup(complete_graph(3), 2).materialize()
-    assert list_triangles(mat) == 8
+    assert len(list_triangles(mat)) == 8
 
 
 def test_list_seeded_random_matches_brute_force():
     g = gnp_random_graph(10, 0.5, 42)
-    assert list_triangles(g) == len(oracles.brute_triangles(g))
+    assert len(list_triangles(g)) == len(oracles.brute_triangles(g))
 
 
 @settings(max_examples=60)
 @given(small_graphs(max_nodes=12))
 def test_listing_matches_brute_enumeration(g):
-    seen = []
-    count = list_triangles(g, seen.append)
-    assert count == len(seen)
-    assert {t.nodes for t in seen} == oracles.brute_triangles(g)
-    table = compute_supports(g)
-    for t in seen:
-        assert t.nodes == tuple(sorted(t.nodes))
-        assert t.edges == tuple(sorted(t.edges))
-        assert all(table.support[e] >= 1 for e in t.edges)
+    """The listing is the triangle hypergraph: each brute-force triangle
+    once, as its ascending edge-id triple, each edge in as many triples as
+    its support, and the p = 1 skip pass over the same rows, which draws
+    nothing."""
+    listed = list_triangles(g)
+    eid = g.edge_id
+    brute = oracles.brute_triangles(g)
+    assert len(listed) == len(set(listed)) == len(brute)
+    assert set(listed) == {tuple(sorted((eid(a, b), eid(a, c), eid(b, c)))) for a, b, c in brute}
+    assert all(x < y < z for x, y, z in listed)
+    degree = Counter(chain.from_iterable(listed))
+    assert [degree[e] for e in range(g.m)] == compute_supports(g).support
+    info = degeneracy_order(g)
+    rows = list(forward_rows(g, info.order, info.positions))
+    rng = random.Random(0)
+    state = rng.getstate()
+    assert _skip_pass(g, rows, 1.0, rng) == listed
+    assert rng.getstate() == state
