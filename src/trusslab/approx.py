@@ -20,7 +20,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Sequence, Sized
 
 from . import gadgets, graph
-from .gadgets import blowup, complete_graph, disjoint_union, spurious_clique_budget
+from .gadgets import augmented_sizes, blowup, complete_graph, disjoint_union
 from .graph import BucketQueue, Graph, degeneracy_order
 from .sampling import (
     HypergraphSample,
@@ -62,20 +62,21 @@ def hypergraph_degeneracy_order(sample: HypergraphSample) -> ApproxTrussOrder:
     exact min-support edge peeling step for step.  Collects every pop of
     ``_hypergraph_peel``.
     """
-    pops = list(_hypergraph_peel(sample))
+    pops = list(_hypergraph_peel(sample.vertex_count, sample.hyperedges))
     return ApproxTrussOrder([v for v, _ in pops], [d for _, d in pops], sample)
 
 
-def _hypergraph_peel(sample: HypergraphSample) -> Iterator[tuple[int, int]]:
-    """The pops (vertex, residual degree) of the min-degree peel, lazily.
+def _hypergraph_peel(
+    m: int, hyperedges: Sequence[tuple[int, int, int]]
+) -> Iterator[tuple[int, int]]:
+    """The pops (vertex, residual degree) of the min-degree peel of the m
+    vertices and these hyperedges, lazily.
 
     Each pop is yielded before its hyperedges are removed, so a consumer
     that stops early pays for the degree count, the queue and the pops it
     took.  The incidence lists wait for the first pop that removes a
     hyperedge, so a peel read only up to such a pop never builds them.
     """
-    m = sample.vertex_count
-    hyperedges = sample.hyperedges
     degree = Counter(chain.from_iterable(hyperedges))
     queue = BucketQueue(map(degree.__getitem__, range(m)))
     incidence: list[list[int]] | None = None
@@ -196,21 +197,21 @@ def _round_order(
 
     Samples the working graph plus round x's marker cliques
     (``_MarkerRounds.sample``) and returns the marker test's outcome on
-    the peel of that sample (``_marker_hit``).  When the doubling loop
-    reaches p = 1 the round falls back and hit is None: the exact order's
-    marker outcome is known in closed form, so no pass at p = 1 runs.
+    the peel of that sample (``_marker_hit`` on its working part's
+    hyperedges and marker-edge degrees).  When the doubling loop reaches
+    p = 1 the round falls back and hit is None: the exact order's marker
+    outcome is known in closed form, so no pass at p = 1 runs.
     """
     found = rounds.sample(x, eps, zeta, seed)
     if found is None:
         return None, True
-    kept, marks, p = found
-    working = HypergraphSample(rounds.graph.m, kept, p, False, seed)
-    return _marker_hit(working, marks), False
+    return _marker_hit(rounds.graph.m, *found), False
 
 
-def _marker_hit(working: HypergraphSample, marks: Sequence[int]) -> bool:
-    """``marker_test`` on the peel of a marker round's whole sample, from its
-    working part and the sampled degree of each marker edge.
+def _marker_hit(m: int, kept: Sequence[tuple[int, int, int]], marks: Sequence[int]) -> bool:
+    """``marker_test`` on the peel of a marker round's whole sample, from the
+    hyperedges ``kept`` in its working part, on edge ids below m, and the
+    sampled degree of each marker edge.
 
     No hyperedge spans both parts, so the whole peel merges the parts'
     peels by (degree, id), and the marker edges have the larger ids.  The
@@ -222,8 +223,8 @@ def _marker_hit(working: HypergraphSample, marks: Sequence[int]) -> bool:
     """
     least = min(marks)
     if not least:
-        return bool(working.hyperedges)
-    return any(d > least for _, d in _hypergraph_peel(working))
+        return bool(kept)
+    return any(d > least for _, d in _hypergraph_peel(m, kept))
 
 
 def estimate_trussness(
@@ -250,28 +251,25 @@ def estimate_trussness(
     6n+3 nodes, 36m+3 edges, 216T+1 triangles, trussness max(6t, 1) and
     degeneracy max(6d, 2) (a q-fold blow-up scales degeneracy by q).  Each
     of the ``spurious_clique_budget`` marker cliques of round x adds x+2
-    nodes, C(x+2,2) edges and C(x+2,3) triangles.  When ``fallback_certain``
-    holds for these sizes, the round's order is the exact peel, on which the
-    marker test hits iff x < t(G): a (support, id) peel removes every edge of
-    G with trussness <= x before the first marker edge, whose support stays
-    x until then and whose id is larger.  Such rounds are decided without
-    building anything; the ~36m-edge G is built once, and only if some
-    round can take the random path (``_working_graph``).  Its
-    degeneracy order, forward rows and W are then computed once
-    (``_MarkerRounds``), and no round builds an augmented graph: the
-    cliques' part of the order and their wedges follow in closed form.  A
-    round whose doubling reaches p = 1 takes the same closed-form outcome
-    without a pass at p = 1.  Seeds, samples and outcomes are those of
-    sampling each materialised augmented graph.  ``zeta`` and ``seed`` are
-    the samplers' (see ``SamplerConfig``).
+    nodes, C(x+2,2) edges and C(x+2,3) triangles (``augmented_sizes``).
+    When ``fallback_certain`` holds for these sizes, the round's order is the
+    exact peel, on which the marker test hits iff x < t(G): a (support, id)
+    peel removes every edge of G with trussness <= x before the first marker
+    edge, whose support stays x until then and whose id is larger.  Such
+    rounds are decided without building anything; the ~36m-edge G is built
+    once, and only if some round can take the random path
+    (``_working_graph``).  Its degeneracy order, forward rows and W are then
+    computed once (``_MarkerRounds``), and no round builds an augmented
+    graph: the cliques' part of the order and their wedges follow in closed
+    form.  A round whose doubling reaches p = 1 takes the same closed-form
+    outcome without a pass at p = 1.  Seeds, samples and outcomes are those
+    of sampling each materialised augmented graph.  ``zeta`` and ``seed``
+    are the samplers' (see ``SamplerConfig``).
 
     ``pseudocode_growth`` grows x by (1 + epsilon) per round instead of
     (1 + eps'); coarser, but cheaper on high-trussness inputs.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    if not (0.0 < zeta < math.inf):
-        raise ValueError(f"zeta must be finite and positive, got {zeta}")
+    SamplerConfig(epsilon, zeta, seed)  # raises on an epsilon or zeta out of range
 
     eps_exact = Fraction(str(epsilon))
     eps_prime = eps_exact / 6
@@ -294,23 +292,14 @@ def estimate_trussness(
     all_fell_back = True
     base = random.Random(seed).randrange(2**62)  # decorrelate round seeds
     while True:
-        count = spurious_clique_budget(m_w, x)
-        size = x + 2
-        if fallback_certain(
-            n_w + count * size,
-            m_w + count * math.comb(size, 2),
-            tri_w + count * math.comb(size, 3),
-            eps_prime_float,
-            zeta,
-        ):
-            hit = x < t_w
-        else:
+        hit = None
+        if not fallback_certain(*augmented_sizes(n_w, m_w, tri_w, x), eps_prime_float, zeta):
             if rounds is None:
                 rounds = _MarkerRounds(_working_graph(g_in))
             hit, fell_back = _round_order(rounds, x, eps_prime_float, zeta, base + len(trace))
             all_fell_back = all_fell_back and fell_back
-            if hit is None:
-                hit = x < t_w
+        if hit is None:
+            hit = x < t_w
         trace.append((x, hit))
         if not hit:
             break
@@ -320,15 +309,14 @@ def estimate_trussness(
             break
         x = nxt
 
-    if t_tilde < 2:
-        return EstimateResult(Fraction(0), True, len(trace), trace, all_fell_back)
-    low = Fraction(t_tilde) / (1 + eps_prime)
-    high = (t_tilde + 1) * (1 + 3 * eps_prime)
-    first = math.ceil(low / 6)
-    last = math.floor(high / 6)
-    if first == last:
-        return EstimateResult(Fraction(first), True, len(trace), trace, all_fell_back)
-    return EstimateResult(Fraction(t_tilde, 6), False, len(trace), trace, all_fell_back)
+    estimate, exact = Fraction(0), True
+    if t_tilde >= 2:
+        low = Fraction(t_tilde) / (1 + eps_prime)
+        high = (t_tilde + 1) * (1 + 3 * eps_prime)
+        first = math.ceil(low / 6)
+        exact = first == math.floor(high / 6)
+        estimate = Fraction(first) if exact else Fraction(t_tilde, 6)
+    return EstimateResult(estimate, exact, len(trace), trace, all_fell_back)
 
 
 def _working_graph(g: Graph) -> Graph:

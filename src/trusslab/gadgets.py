@@ -82,6 +82,15 @@ def spurious_clique_budget(m: int, x: int) -> int:
     return -(-m // math.comb(x + 2, 2))
 
 
+def augmented_sizes(n: int, m: int, k: int, x: int) -> tuple[int, int, int]:
+    """n, m and k of a graph after adding round x's marker cliques, where k
+    counts triangles or forward wedges: every wedge of a clique closes, so
+    each (x+2)-clique adds C(x+2, 3) of both."""
+    count = spurious_clique_budget(m, x)
+    size = x + 2
+    return n + count * size, m + count * math.comb(size, 2), k + count * math.comb(size, 3)
+
+
 def add_spurious_cliques(g: Graph, x: int) -> AugmentedGraph:
     """Append ceil(m / C(x+2,2)) disjoint (x+2)-cliques to g.
 

@@ -19,9 +19,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
-from .gadgets import spurious_clique_budget
+from .gadgets import augmented_sizes, complete_graph, spurious_clique_budget
 from .graph import DegeneracyInfo, Graph, build_graph, degeneracy_order, forward_wedge_count
 from .triangles import ForwardRow, forward_rows, list_triangles, sorted3
 
@@ -73,50 +73,29 @@ _LN_LEAST_U = math.log(2.0**-53)
 def geometric_skip(p: float, rng: random.Random) -> int:
     """Geometric(p) variate on {1, 2, ...}: trials until the first success.
 
-    Inverse transform ceil(ln U / ln(1-p)) with U uniform on (0, 1); p = 1
-    always returns 1.  The first skip of ``_skips``, so it draws what a
-    pass's first skip draws.
-    """
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"p must be in (0, 1], got {p}")
-    return next(_skips(p, rng))
-
-
-def _skips(p: float, rng: random.Random) -> Iterator[int]:
-    """Endless Geometric(p) skips, one ``rng.random()`` per skip (redrawn
-    if 0); p = 1 steps by 1 without drawing.
-
-    ``gnp_random_graph`` walks its pairs with these skips; a sampler pass
-    takes only its first skip here and draws the rest inline, as
+    Inverse transform ceil(ln U / ln(1-p)) with one ``rng.random()`` for U
+    (redrawn if 0); p = 1 returns 1 without drawing.  It draws the first
+    skip of every pass; the rest are drawn inline where they are used, as
     ``ceil(log(draw() or _positive(draw)) / lq)`` with ``draw`` =
     ``rng.random`` and ``lq`` = log1p(-p): the same draws and values, with
-    no generator frame resumed per probe.
+    no call per probe.
 
-    log1p(-p) is taken once, and p is not checked: callers pass 0 < p <= 1.
     For p < 1 both logs are negative, with |ln U| >= 1.1e-16 and
     |ln(1-p)| <= 36.8, so the ratio is at least 3e-18 and every ceil is at
     least 1.  Below p ~ 2e-307, subnormal p included, ln U / ln(1-p) can
     overflow a float, so the ceil is taken exactly; every such skip exceeds
-    10^290, so a pass's first skip passes every wedge and the inline float
-    formula never runs at such a p.
+    10^290, so a pass's first skip passes every wedge (and G(n, p)'s every
+    pair) and the inline float formula never runs at such a p.
     """
+    if not (0.0 < p <= 1.0):
+        raise ValueError(f"p must be in (0, 1], got {p}")
     if p == 1.0:
-        while True:
-            yield 1
-    draw, log, ceil = rng.random, math.log, math.ceil
+        return 1
     lq = math.log1p(-p)
+    u = rng.random() or _positive(rng.random)
     if math.isinf(_LN_LEAST_U / lq):
-        exact = Fraction(lq)
-        while True:
-            u = draw()
-            while u <= 0.0:
-                u = draw()
-            yield ceil(Fraction(log(u)) / exact)
-    while True:
-        u = draw()
-        while u <= 0.0:
-            u = draw()
-        yield ceil(log(u) / lq)
+        return math.ceil(Fraction(math.log(u)) / Fraction(lq))
+    return math.ceil(math.log(u) / lq)
 
 
 def _positive(draw: Callable[[], float]) -> float:
@@ -149,7 +128,7 @@ def _walk(
     step j by their skips until j passes L-1, so only a probe that enters
     a new segment decodes.  Each probe costs O(1), its skip included: it
     is drawn in the loop that uses it, ``draw`` being ``rng.random`` and
-    ``lq`` log1p(-p) for a pass at 0 < p < 1 (see ``_skips``).
+    ``lq`` log1p(-p) for a pass at 0 < p < 1 (see ``geometric_skip``).
 
     A graph's rows (``base`` < 0) are probed through ``links``, its
     neighbor maps: a probed wedge closes iff the later node's map holds
@@ -207,7 +186,7 @@ def _skip_pass(
     if p == 1.0:
         return list_triangles(g, rows)
     out: list[tuple[int, int, int]] = []
-    gap = next(_skips(p, rng)) - 1
+    gap = geometric_skip(p, rng) - 1
     if gap >= g.m * (g.m - 1) // 2:
         return out
     _walk(rows, list(map(g.neighbors, range(g.n))), gap, rng.random, math.log1p(-p), out.append)
@@ -224,7 +203,7 @@ def _probe_count(wedges: int, p: float, rng: random.Random, stop: int) -> int:
     of that pass would leave it.
     """
     draw, log, ceil, lq = rng.random, math.log, math.ceil, math.log1p(-p)
-    serial = next(_skips(p, rng)) - 1
+    serial = geometric_skip(p, rng) - 1
     for count in range(stop):
         if serial >= wedges:
             return count
@@ -286,8 +265,6 @@ def sample_wedges_fixed_p(
     exposed so the Bernoulli equivalence of the skip enumeration can be
     tested head-on.
     """
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"p must be in (0, 1], got {p}")
     rows = list(forward_rows(g, info.order, info.positions))
     rng = random.Random(seed)
     return HypergraphSample(g.m, _skip_pass(g, rows, p, rng), p, False, seed)
@@ -409,7 +386,7 @@ class _MarkerRounds:
         draw, lq = rng.random, math.log1p(-p)
         kept: list[tuple[int, int, int]] = []
         marks = [0] * (count * pairs)
-        gap = _walk(self.rows[:split], self._links, next(_skips(p, rng)) - 1, draw, lq,
+        gap = _walk(self.rows[:split], self._links, geometric_skip(p, rng) - 1, draw, lq,
                     kept.append)
         c, gap = divmod(gap, per)
         while c < count:
@@ -422,41 +399,29 @@ class _MarkerRounds:
 
     def sample(
         self, x: int, epsilon: float, zeta: float, seed: int
-    ) -> tuple[list[tuple[int, int, int]], list[int], float] | None:
+    ) -> tuple[list[tuple[int, int, int]], list[int]] | None:
         """Round x's doubling loop, as ``sample_hypergraph`` runs it on the
-        augmented graph with this seed: the kept pass's G hyperedges,
-        marker-edge degrees and p, or None if p reaches 1."""
+        augmented graph with this seed: the kept pass's G hyperedges and
+        marker-edge degrees, or None if p reaches 1."""
         g = self.graph
-        size = x + 2
-        count = spurious_clique_budget(g.m, x)
         rng = random.Random(seed)
 
         def walk(p: float) -> tuple[tuple[list[tuple[int, int, int]], list[int]], int]:
             kept, marks = self.marker_pass(x, p, rng)
             return (kept, marks), len(kept) + sum(marks) // 3
 
-        found = _double(
-            g.n + count * size,
-            g.m + count * math.comb(size, 2),
-            self.wedges + count * math.comb(size, 3),
-            epsilon,
-            zeta,
-            rng,
-            walk,
-        )
-        if found is None:
-            return None
-        (kept, marks), p = found
-        return kept, marks, p
+        found = _double(*augmented_sizes(g.n, g.m, self.wedges, x), epsilon, zeta, rng, walk)
+        return None if found is None else found[0]
 
 
 def gnp_random_graph(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p) via the same geometric-skip machinery.
 
     Pairs (i, j), i < j, are serialized lexicographically and visited by
-    the skips of ``_skips``, resumed once per edge, so the cost is
-    proportional to the number of edges produced; p = 1 visits every pair.
-    Deterministic per seed.
+    geometric skips: the first from ``geometric_skip``, the rest drawn
+    inline as a pass draws them, so the cost is proportional to the number
+    of edges produced.  p = 1 gives ``complete_graph(n)``, whose edges come
+    in the same order.  Deterministic per seed.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -464,18 +429,21 @@ def gnp_random_graph(n: int, p: float, seed: int) -> Graph:
         raise ValueError(f"p must be in [0, 1], got {p}")
     if n < 2 or p == 0.0:
         return build_graph([], node_count=n)
-    skip = _skips(p, random.Random(seed)).__next__
+    if p == 1.0:
+        return complete_graph(n)
+    rng = random.Random(seed)
+    draw, log, ceil, lq = rng.random, math.log, math.ceil, math.log1p(-p)
     total = n * (n - 1) // 2
     edges: list[tuple[int, int]] = []
     row = 0
     row_start = 0
     row_len = n - 1
-    serial = skip() - 1
+    serial = geometric_skip(p, rng) - 1
     while serial < total:
         while serial >= row_start + row_len:
             row_start += row_len
             row += 1
             row_len -= 1
         edges.append((row, row + 1 + (serial - row_start)))
-        serial += skip()
+        serial += ceil(log(draw() or _positive(draw)) / lq)
     return build_graph(edges, node_count=n)

@@ -202,7 +202,8 @@ def decomposition_from_order(g: Graph, oracle: OrderOracle) -> TrussDecompositio
     if missing:
         raise RuntimeError(f"ladder gadget failed to realize trussness values {sorted(missing)}")
 
-    blown = blowup(g, 2).materialize()
+    q = 2  # edge base_id*q^2 + i*q + j of the blow-up copies base edge base_id
+    blown = blowup(g, q).materialize()
     union = disjoint_union(blown, ladder)
     raw = oracle(union)
     order = list(raw.order) if isinstance(raw, EdgeOrder) else list(raw)
@@ -232,7 +233,7 @@ def decomposition_from_order(g: Graph, oracle: OrderOracle) -> TrussDecompositio
         evens = [val for val in range(prev, hi + 1) if val % 2 == 0]
         if len(evens) != 1:
             raise RuntimeError(f"ladder bracket [{prev}, {hi}] does not pin a single even value")
-        base_eid = eid // 4
+        base_eid = eid // (q * q)
         half = evens[0] // 2
         if t_base[base_eid] == -1:
             t_base[base_eid] = half

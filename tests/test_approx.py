@@ -35,6 +35,7 @@ from trusslab.approx import (
 )
 from trusslab.gadgets import (
     add_spurious_cliques,
+    augmented_sizes,
     bipartite_apex,
     blowup,
     complete_graph,
@@ -100,7 +101,8 @@ def test_sampled_hypergraph_peel_matches_reference():
         for p in (0.1, 0.4, 1.0):
             sample = sample_wedges_fixed_p(g, info, p, seed)
             want = reference_hypergraph_peel(sample)
-            assert list(_hypergraph_peel(sample)) == want, (seed, p)
+            pops = _hypergraph_peel(sample.vertex_count, sample.hyperedges)
+            assert list(pops) == want, (seed, p)
             order = hypergraph_degeneracy_order(sample)
             assert list(zip(order.order, order.forward_degrees)) == want, (seed, p)
 
@@ -278,8 +280,8 @@ def test_round_order_pops_the_sample_peel_lazily(monkeypatch):
     pops = []
     peel = approx._hypergraph_peel
 
-    def counting(sample):
-        for pop in peel(sample):
+    def counting(m, hyperedges):
+        for pop in peel(m, hyperedges):
             pops.append(pop)
             yield pop
 
@@ -341,8 +343,7 @@ def test_marker_hit_is_the_marker_test_of_the_whole_peel():
                     kept = [h for h in full if not spurious[h[0]]]
                     degree = Counter(e - g.m for h in full if spurious[h[0]] for e in h)
                     marks = [degree[i] for i in range(aug.m - g.m)]
-                    working = HypergraphSample(g.m, kept, p, False, seed)
-                    assert _marker_hit(working, marks) is want, (gi, x, p, seed)
+                    assert _marker_hit(g.m, kept, marks) is want, (gi, x, p, seed)
                     outcomes[want, min(marks) > 0] += 1
     assert set(outcomes) == {(True, False), (True, True), (False, False), (False, True)}
 
@@ -475,6 +476,10 @@ def test_working_graph_matches_closed_form():
             )
             aug_info = degeneracy_order(aug)
             assert forward_wedge_count(aug, aug_info) == w_working + count * math.comb(size, 3)
+            sizes = augmented_sizes(working.n, working.m, 216 * T + 1, x)
+            assert sizes == (aug.n, aug.m, compute_supports(aug).triangle_count), x
+            _, _, w_aug = augmented_sizes(working.n, working.m, w_working, x)
+            assert w_aug == forward_wedge_count(aug, aug_info), x
             assert aug_info.degeneracy == max(d_working, x + 1)
             decomp, order = truss_decomposition(aug)
             assert decomp.trussness == max(t_working, x)

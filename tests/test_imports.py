@@ -1,0 +1,36 @@
+"""Every module-level import of a library module is used by that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "trusslab"
+
+# Bound but never referenced on purpose: bench/selftest.py:154 checks that the
+# bench's tracer wraps this binding.
+ALLOWED = {("approx", "compute_supports")}
+
+
+def _imported_names(tree: ast.Module) -> list[str]:
+    """The names bound by the module's top-level imports, __future__ aside."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names.extend((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.extend(a.asname or a.name for a in node.names)
+    return names
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.stem
+)
+def test_no_unused_module_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [
+        name for name in _imported_names(tree)
+        if name not in used and (path.stem, name) not in ALLOWED
+    ]
+    assert not unused, f"{path.name} imports but never uses {unused}"

@@ -353,6 +353,16 @@ def test_zero_draws_are_redrawn_in_every_pass_loop():
         assert max(draws) >= 9, gi
 
 
+def test_zero_draws_are_redrawn_in_gnp(monkeypatch):
+    """G(n, p) redraws a draw of 0.0 at its first skip and at every inline
+    skip, as the reference loop of one ``geometric_skip`` per step does."""
+    monkeypatch.setattr(random, "Random", _ZeroAt)
+    for n, p in ((30, 0.3), (12, 0.9), (40, 0.05)):
+        for seed in range(3):
+            want = oracles.reference_gnp_edges(n, p, seed)
+            assert list(gnp_random_graph(n, p, seed).edges()) == want, (n, p, seed)
+
+
 # ------------------------------------------------------- marker rounds ----
 
 
