@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Sequence, TypeVar
 
-from .gadgets import augmented_sizes, complete_graph, spurious_clique_budget
+from .gadgets import augmented_sizes, spurious_clique_budget
 from .graph import DegeneracyInfo, Graph, build_graph, degeneracy_order, forward_wedge_count
 from .triangles import ForwardRow, forward_rows, list_triangles, sorted3
 
@@ -75,17 +75,17 @@ def geometric_skip(p: float, rng: random.Random) -> int:
 
     Inverse transform ceil(ln U / ln(1-p)) with one ``rng.random()`` for U
     (redrawn if 0); p = 1 returns 1 without drawing.  It draws the first
-    skip of every pass; the rest are drawn inline where they are used, as
-    ``ceil(log(draw() or _positive(draw)) / lq)`` with ``draw`` =
-    ``rng.random`` and ``lq`` = log1p(-p): the same draws and values, with
-    no call per probe.
+    skip of every pass and every skip of G(n, p); a pass draws the rest
+    inline, as ``ceil(log(draw() or _positive(draw)) / lq)`` with ``draw``
+    = ``rng.random`` and ``lq`` = log1p(-p): the same draws and values,
+    with no call per probe.
 
     For p < 1 both logs are negative, with |ln U| >= 1.1e-16 and
     |ln(1-p)| <= 36.8, so the ratio is at least 3e-18 and every ceil is at
     least 1.  Below p ~ 2e-307, subnormal p included, ln U / ln(1-p) can
     overflow a float, so the ceil is taken exactly; every such skip exceeds
-    10^290, so a pass's first skip passes every wedge (and G(n, p)'s every
-    pair) and the inline float formula never runs at such a p.
+    10^290, so a first skip passes every wedge (and every pair of G(n, p))
+    and the inline float formula never runs at such a p.
     """
     if not (0.0 < p <= 1.0):
         raise ValueError(f"p must be in (0, 1], got {p}")
@@ -418,10 +418,9 @@ def gnp_random_graph(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p) via the same geometric-skip machinery.
 
     Pairs (i, j), i < j, are serialized lexicographically and visited by
-    geometric skips: the first from ``geometric_skip``, the rest drawn
-    inline as a pass draws them, so the cost is proportional to the number
-    of edges produced.  p = 1 gives ``complete_graph(n)``, whose edges come
-    in the same order.  Deterministic per seed.
+    one ``geometric_skip`` draw per step, so the cost is proportional to
+    the number of edges produced; p = 1 visits every pair without drawing.
+    Deterministic per seed.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -429,10 +428,7 @@ def gnp_random_graph(n: int, p: float, seed: int) -> Graph:
         raise ValueError(f"p must be in [0, 1], got {p}")
     if n < 2 or p == 0.0:
         return build_graph([], node_count=n)
-    if p == 1.0:
-        return complete_graph(n)
     rng = random.Random(seed)
-    draw, log, ceil, lq = rng.random, math.log, math.ceil, math.log1p(-p)
     total = n * (n - 1) // 2
     edges: list[tuple[int, int]] = []
     row = 0
@@ -445,5 +441,5 @@ def gnp_random_graph(n: int, p: float, seed: int) -> Graph:
             row += 1
             row_len -= 1
         edges.append((row, row + 1 + (serial - row_start)))
-        serial += ceil(log(draw() or _positive(draw)) / lq)
+        serial += geometric_skip(p, rng)
     return build_graph(edges, node_count=n)

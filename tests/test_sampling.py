@@ -354,8 +354,8 @@ def test_zero_draws_are_redrawn_in_every_pass_loop():
 
 
 def test_zero_draws_are_redrawn_in_gnp(monkeypatch):
-    """G(n, p) redraws a draw of 0.0 at its first skip and at every inline
-    skip, as the reference loop of one ``geometric_skip`` per step does."""
+    """G(n, p) redraws a draw of 0.0 at its first skip and at every later
+    one, as the reference loop of one ``geometric_skip`` per step does."""
     monkeypatch.setattr(random, "Random", _ZeroAt)
     for n, p in ((30, 0.3), (12, 0.9), (40, 0.05)):
         for seed in range(3):
