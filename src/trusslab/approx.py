@@ -16,12 +16,12 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Iterator, Sequence, Sized
 
 from . import gadgets, graph
 from .gadgets import augmented_sizes, blowup, complete_graph, disjoint_union
-from .graph import BucketQueue, Graph, degeneracy_order
+from .graph import BucketQueue, Graph, build_graph, degeneracy_order
 from .sampling import (
     HypergraphSample,
     SamplerConfig,
@@ -29,9 +29,7 @@ from .sampling import (
     fallback_certain,
     sample_hypergraph,
 )
-# compute_supports is unused here but stays bound: bench/selftest.py checks
-# that the bench's tracer wraps this module's binding of it.
-from .triangles import _common_neighbor_counts, _neighbor_sets, compute_supports  # noqa: F401
+from .triangles import compute_supports
 from .truss import suffix_support_profile, truss_decomposition
 
 
@@ -349,29 +347,23 @@ class ThresholdRound:
 def threshold_rounds(g: Graph, epsilon: float) -> list[ThresholdRound]:
     """Density trajectory of iterated support thresholding with c = 3+eps.
 
-    Each round counts the surviving edges' supports as common neighbors,
-    records the triangle density T_i/m_i and removes every edge of support
-    <= c * T_i/m_i from the neighbor sets; supports sum to 3*T_i, so at most
-    a 3/c fraction of edges survives and O(log m) rounds suffice.
+    Each round counts the supports of the current graph's edges
+    (``compute_supports``), records the triangle density T_i/m_i and builds
+    the next graph from the edges of support > c * T_i/m_i, on the same
+    nodes; supports sum to 3*T_i, so at most a 3/c fraction of edges
+    survives and O(log m) rounds suffice.
     """
     if not (0.0 < epsilon < math.inf):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     c = 3 + Fraction(str(epsilon))
     rounds: list[ThresholdRound] = []
-    nbrs = _neighbor_sets(g)
-    pairs = list(g.edges())
-    while pairs:
-        support = _common_neighbor_counts(nbrs, pairs)
-        triangles = sum(support) // 3
-        density = Fraction(triangles, len(pairs))
-        rounds.append(ThresholdRound(len(pairs), triangles, density))
+    while g.m:
+        table = compute_supports(g)
+        density = Fraction(table.triangle_count, g.m)
+        rounds.append(ThresholdRound(g.m, table.triangle_count, density))
         # Supports are integers, so s > c * density iff s > its floor.
         cutoff = math.floor(c * density)
-        for (u, v), s in zip(pairs, support):
-            if s <= cutoff:
-                nbrs[u].discard(v)
-                nbrs[v].discard(u)
-        pairs = [pair for pair, s in zip(pairs, support) if s > cutoff]
+        g = build_graph(compress(g.edges(), map(cutoff.__lt__, table.support)), node_count=g.n)
     return rounds
 
 

@@ -65,7 +65,7 @@ def _analysis(command: str, compute: Callable) -> Callable:
     """
 
     def run(args) -> None:
-        g, _ = load_graph(args.input)
+        g = load_graph(args.input)[0]
         start = time.perf_counter()
         lines, fields = compute(g, args)
         elapsed = time.perf_counter() - start
@@ -404,7 +404,7 @@ def cmd_bench(args) -> None:
     paths = _corpus_paths(args.corpus)
     rows: list[dict] = []
     for path in paths:
-        g, _ = load_graph(path)
+        g = load_graph(path)[0]
         start = time.perf_counter()
         decomp, order = truss_decomposition(g)
         secs = time.perf_counter() - start

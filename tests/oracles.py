@@ -20,6 +20,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from array import array
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations
@@ -81,7 +82,9 @@ def reference_build_graph(
     for eid, (u, v) in enumerate(pairs):
         adj[u][v] = eid
         adj[v][u] = eid
-    return Graph(n, [{v: ids[v] for v in sorted(ids)} for ids in adj], pairs)
+    us = array("i", (u for u, _ in pairs))
+    vs = array("i", (v for _, v in pairs))
+    return Graph(n, [{v: ids[v] for v in sorted(ids)} for ids in adj], us, vs)
 
 
 def brute_triangles(g: Graph) -> set[tuple[int, int, int]]:
@@ -237,13 +240,14 @@ def reference_compute_supports(g: Graph) -> SupportTable:
 
 def reference_threshold_rounds(g: Graph, epsilon: float) -> list[ThresholdRound]:
     """Iterated support thresholding with c = 3+eps that rebuilds the
-    survivor graph and recounts all its supports every round."""
+    survivor graph and recounts all its supports every round, by the
+    forward-wedge walk."""
     c = 3 + Fraction(str(epsilon))
     rounds: list[ThresholdRound] = []
     node_count = g.n
     current = g
     while current.m > 0:
-        table = compute_supports(current)
+        table = reference_compute_supports(current)
         density = Fraction(table.triangle_count, current.m)
         rounds.append(ThresholdRound(current.m, table.triangle_count, density))
         cutoff = c * density

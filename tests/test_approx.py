@@ -7,7 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from conftest import FIGURE_LEFT_TRUSSNESS, edge_list_text, figure_left_graph, gadget_graphs
+from conftest import (
+    FIGURE_LEFT_TRUSSNESS,
+    edge_list_text,
+    figure_left_graph,
+    gadget_graphs,
+    traced_bytes,
+)
 from oracles import (
     brute_triangles,
     reference_estimate_trussness,
@@ -19,6 +25,7 @@ from oracles import (
 )
 from test_cli import run_cli
 from test_graph import small_graphs
+from test_triangles import mask_rule_graphs
 from test_truss import _hub_graph
 from trusslab import approx
 from trusslab.approx import (
@@ -595,9 +602,11 @@ def test_threshold_shrink_rate():
 
 
 def test_threshold_rounds_match_reference():
-    """In-place common-neighbor recounts against the loop that rebuilds the
-    survivor graph and recounts every support each round."""
-    graphs = [gnp_random_graph(40, p, 50 + i) for i, p in enumerate((0.1, 0.5, 0.9))]
+    """Against the loop that rebuilds the survivor graph and recounts every
+    support by the forward-wedge walk each round; the first rounds of the
+    rule graphs count on both sides of the mask rule."""
+    graphs = mask_rule_graphs(8)
+    graphs += [gnp_random_graph(40, p, 50 + i) for i, p in enumerate((0.1, 0.5, 0.9))]
     graphs += [_hub_graph(30 + 10 * i, 0.15, 60 + i) for i in range(3)]
     graphs += [
         complete_graph(7),
@@ -610,19 +619,30 @@ def test_threshold_rounds_match_reference():
             assert threshold_rounds(g, eps) == reference_threshold_rounds(g, eps), (i, eps)
 
 
-def test_threshold_rounds_build_no_graph(monkeypatch):
-    import trusslab.approx
-    import trusslab.graph
+def test_threshold_rounds_count_through_compute_supports(monkeypatch):
+    """Each round is one ``compute_supports`` call on that round's graph."""
+    counted = []
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("build_graph called")
+    def counting(g):
+        counted.append(g.m)
+        return compute_supports(g)
 
     g = gnp_random_graph(30, 0.5, 9)
     want = reference_threshold_rounds(g, 0.1)
     assert len(want) > 1
-    monkeypatch.setattr(trusslab.approx, "build_graph", forbidden, raising=False)
-    monkeypatch.setattr(trusslab.graph, "build_graph", forbidden)
+    monkeypatch.setattr(approx, "compute_supports", counting)
     assert threshold_rounds(g, 0.1) == want
+    assert counted == [r.edges for r in want]
+
+
+def test_threshold_rounds_copy_no_neighbor_map():
+    """Rounds that count on the current graph's maps and build the next
+    graph from the survivors peak at ~41 bytes per edge on G(4000, 0.0025);
+    per-node set copies and a list of all pairs peaked at ~156
+    (tracemalloc)."""
+    g = gnp_random_graph(4000, 0.0025, 3)
+    _, _, peak = traced_bytes(lambda: threshold_rounds(g, 0.1))
+    assert peak < 80 * g.m
 
 
 @settings(max_examples=60)

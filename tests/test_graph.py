@@ -1,4 +1,5 @@
 import random
+from array import array
 from itertools import combinations
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 import trusslab.graph
-from conftest import figure_left_graph
+from conftest import figure_left_graph, traced_bytes
 from trusslab.approx import approx_truss_order, estimate_trussness, threshold_rounds
 from trusslab.gadgets import (
     add_spurious_cliques,
@@ -151,12 +152,11 @@ def test_build_matches_two_pass_reference(edges, node_count):
 
 def _assert_interned_like_reference(g, ref):
     """g equals the reference build, and each node id past CPython's small
-    int cache is one object across every pair and every map key."""
+    int cache is one object across every map key.  (Edge endpoints live in
+    int columns, which hold no int objects.)"""
     _assert_same_graph(g, ref)
     canonical = {}
-    occurrences = [x for eid in range(g.m) for x in g.pair(eid)]
-    occurrences += [x for u in g.nodes() for x in g.neighbors(u)]
-    for x in occurrences:
+    for x in (x for u in g.nodes() for x in g.neighbors(u)):
         assert canonical.setdefault(x, x) is x, x
     assert max(canonical) > 256
 
@@ -239,6 +239,15 @@ def test_edge_ids_follow_input_order():
             g.edge_id(u, v)
 
 
+def test_built_graph_holds_edges_in_int_columns():
+    """Edge endpoints as two 4-byte int columns: a built G(4000, 0.0025)
+    holds ~136 bytes per edge; as a list of (u, v) tuples it held ~187
+    (tracemalloc)."""
+    edges = list(gnp_random_graph(4000, 0.0025, 3).edges())
+    g, kept, _ = traced_bytes(lambda: build_graph(edges, node_count=4000))
+    assert kept < 160 * g.m
+
+
 @given(small_graphs())
 def test_degree_sum_is_twice_edge_count(g):
     assert sum(g.degree(u) for u in range(g.n)) == 2 * g.m
@@ -310,7 +319,8 @@ def test_outputs_do_not_depend_on_neighbor_map_order(make):
     rng = random.Random(5)
     for arrange in (reversed, lambda items: rng.sample(items, len(items)), sorted):
         maps = [dict(arrange(list(g.neighbors(u).items()))) for u in g.nodes()]
-        assert _order_sensitive_outputs(Graph(g.n, maps, list(g.edges()))) == expected
+        ends = [array("i", end) for end in zip(*g.edges())]
+        assert _order_sensitive_outputs(Graph(g.n, maps, *ends)) == expected
 
 
 # ----------------------------------------------------------- degeneracy ----

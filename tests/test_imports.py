@@ -7,10 +7,6 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "trusslab"
 
-# Bound but never referenced on purpose: bench/selftest.py:154 checks that the
-# bench's tracer wraps this binding.
-ALLOWED = {("approx", "compute_supports")}
-
 
 def _imported_names(tree: ast.Module) -> list[str]:
     """The names bound by the module's top-level imports, __future__ aside."""
@@ -29,8 +25,5 @@ def _imported_names(tree: ast.Module) -> list[str]:
 def test_no_unused_module_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    unused = [
-        name for name in _imported_names(tree)
-        if name not in used and (path.stem, name) not in ALLOWED
-    ]
+    unused = [name for name in _imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports but never uses {unused}"

@@ -5,6 +5,7 @@ from itertools import chain
 from hypothesis import given, settings
 
 import oracles
+from conftest import traced_bytes
 from test_graph import small_graphs
 from test_truss import _hub_graph
 from trusslab.gadgets import bipartite_apex, blowup, complete_graph
@@ -53,10 +54,27 @@ def test_support_bounded_by_min_degree(g):
             assert table.support[eid] <= min(g.degree(u), g.degree(v)) - 1
 
 
+def mask_rule_graphs(seed: int) -> list:
+    """The same seeded edges on n = 320 nodes, where n*n == 64*m exactly and
+    supports are counted on n-bit masks, and on n + 1 nodes, where they are
+    counted on neighbor-map views.  Every tenth node is isolated."""
+    n = 320
+    m = n * n // 64
+    rng = random.Random(seed)
+    ends = [u for u in range(n) if u % 10]
+    edges: dict = {}
+    while len(edges) < m:
+        edges[tuple(sorted(rng.sample(ends, 2)))] = None
+    graphs = [build_graph(edges, node_count=size) for size in (n, n + 1)]
+    assert [g.n * g.n <= 64 * g.m for g in graphs] == [True, False]
+    return graphs
+
+
 def test_supports_match_forward_walk_reference():
     """Common-neighbor counts against the forward-wedge walk in (degree, id)
-    order, on graphs of up to a few thousand edges."""
-    graphs = [
+    order, on graphs of up to a few thousand edges, on both sides of the
+    mask rule."""
+    graphs = mask_rule_graphs(7) + [
         gnp_random_graph(80, 0.5, 1),
         gnp_random_graph(150, 0.2, 2),
         gnp_random_graph(100, 0.6, 3),
@@ -69,6 +87,15 @@ def test_supports_match_forward_walk_reference():
     assert max(g.m for g in graphs) > 2500
     for i, g in enumerate(graphs):
         assert compute_supports(g) == oracles.reference_compute_supports(g), i
+
+
+def test_supports_copy_no_neighbor_map():
+    """Counting on the graph's own maps peaks at ~18 bytes per edge on
+    G(4000, 0.0025), mostly the support list; a per-node set copy of the
+    adjacency peaked at ~148 (tracemalloc)."""
+    g = gnp_random_graph(4000, 0.0025, 3)
+    _, _, peak = traced_bytes(lambda: compute_supports(g))
+    assert peak < 40 * g.m
 
 
 def test_list_k4():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
-from conftest import FIGURE_LEFT_TRUSSNESS
+from conftest import FIGURE_LEFT_TRUSSNESS, traced_bytes
 from test_graph import small_graphs
 from trusslab.gadgets import bipartite_apex, blowup, complete_graph, ladder_gadget
 from trusslab.graph import build_graph, degeneracy_order
@@ -254,20 +254,9 @@ def test_peel_copies_no_support_zero_edge():
     """On a 5000-leaf star with one triangle, a peel that copied every edge
     into its maps peaks at ~330 bytes per edge; one that leaves the support-0
     edges out stays under 200 (tracemalloc; it measures ~80)."""
-    import tracemalloc
-
     g = build_graph([(0, leaf) for leaf in range(1, 5001)] + [(1, 2)])
     supports = compute_supports(g)
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        _peel_from_supports(g, supports)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    _, _, peak = traced_bytes(lambda: _peel_from_supports(g, supports))
     assert peak < 200 * g.m
 
 
