@@ -293,7 +293,7 @@ def estimate_trussness(
         hit = None
         if not fallback_certain(*augmented_sizes(n_w, m_w, tri_w, x), eps_prime_float, zeta):
             if rounds is None:
-                rounds = _MarkerRounds(_working_graph(g_in))
+                rounds = _MarkerRounds(_working_graph(g_in, n_w, m_w))
             hit, fell_back = _round_order(rounds, x, eps_prime_float, zeta, base + len(trace))
             all_fell_back = all_fell_back and fell_back
         if hit is None:
@@ -317,16 +317,17 @@ def estimate_trussness(
     return EstimateResult(estimate, exact, len(trace), trace, all_fell_back)
 
 
-def _working_graph(g: Graph) -> Graph:
+def _working_graph(g: Graph, n_w: int, m_w: int) -> Graph:
     """The estimator's working graph: g blown up 6-fold, united with K3.
 
-    Its 6n+3 nodes and 36m+3 edges are held to ``graph.NODE_ID_LIMIT`` and
-    ``gadgets.MATERIALIZE_CAP``, read at call time, before anything is
+    Its ``n_w`` nodes and ``m_w`` edges (6n+3 and 36m+3, as
+    ``estimate_trussness`` computes them) are held to ``graph.NODE_ID_LIMIT``
+    and ``gadgets.MATERIALIZE_CAP``, read at call time, before anything is
     built; a limit it would pass raises one ValueError line that names the
     blow-up.
     """
-    sizes = ((6 * g.n + 3, "nodes, above the node-id limit", graph.NODE_ID_LIMIT),
-             (36 * g.m + 3, "edges, above the blow-up edge cap", gadgets.MATERIALIZE_CAP))
+    sizes = ((n_w, "nodes, above the node-id limit", graph.NODE_ID_LIMIT),
+             (m_w, "edges, above the blow-up edge cap", gadgets.MATERIALIZE_CAP))
     for size, what, limit in sizes:
         if size > limit:
             raise ValueError(

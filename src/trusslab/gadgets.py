@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterator
 
 from .graph import Graph, build_graph
@@ -103,23 +103,19 @@ def add_spurious_cliques(g: Graph, x: int) -> AugmentedGraph:
     if x > limit:
         raise ValueError(f"x={x} exceeds the sparsity cap {limit} for m={g.m}")
     count = spurious_clique_budget(g.m, x) if g.m > 0 else 0
-    edges = list(g.edges())
-    base_m = len(edges)
     size = x + 2
-    for c in range(count):
-        first = g.n + c * size
-        members = range(first, first + size)
-        edges.extend(combinations(members, 2))
-    combined = build_graph(edges, node_count=g.n + count * size)
-    flags = [eid >= base_m for eid in range(combined.m)]
+    end = g.n + count * size
+    cliques = (combinations(range(first, first + size), 2) for first in range(g.n, end, size))
+    # streamed: g's edges keep their ids, and no list of every edge is made
+    combined = build_graph(chain(g.edges(), chain.from_iterable(cliques)), node_count=end)
+    flags = [eid >= g.m for eid in range(combined.m)]
     return AugmentedGraph(combined, count, flags)
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     """Union with b's node ids shifted past a's; a's edge ids come first."""
     shift = a.n
-    edges = list(a.edges())
-    edges.extend((u + shift, v + shift) for u, v in b.edges())
+    edges = chain(a.edges(), ((u + shift, v + shift) for u, v in b.edges()))
     return build_graph(edges, node_count=a.n + b.n)
 
 

@@ -1,9 +1,10 @@
 """Edge-list persistence.
 
-One edge per line as two whitespace-separated non-negative integers.  Lines
-starting with '#' and blank lines are ignored.  An edge line may carry a
-trailing ``# spurious`` marker, which round-trips through load/save so that
-gadget-augmented graphs stay inspectable on disk.
+One edge per line as two whitespace-separated node ids, integers in
+``[0, graph.NODE_ID_LIMIT)``.  Lines starting with '#' and blank lines are
+ignored.  An edge line may carry a trailing ``# spurious`` marker, which
+round-trips through load/save so that gadget-augmented graphs stay
+inspectable on disk.  Each line is checked once, as it is read.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import sys
 from array import array
 from typing import IO, Iterable, Sequence
 
-from .graph import NODE_ID_LIMIT, Graph, build_graph
+from . import graph
+from .graph import Graph, build_graph
 
 
 class EdgeListError(ValueError):
@@ -23,23 +25,17 @@ class EdgeListError(ValueError):
         self.line_no = line_no
 
 
-def parse_edge_lines(lines: Iterable[str]) -> tuple[list[tuple[int, int]], list[bool]]:
-    """Parse raw lines into (edges, spurious flags), both in input order."""
-    us, vs, flags, _ = _parse_columns(lines)
-    return list(zip(us, vs)), list(map(bool, flags))
-
-
-def _parse_columns(lines: Iterable[str]) -> tuple[array, array, bytearray, list[int]]:
+def _parse_columns(lines: Iterable[str]) -> tuple[array, array, bytearray]:
     """Parse raw lines into two endpoint columns and a column of spurious
-    flags (0 or 1), in input order, plus the numbers of the lines that hold
-    no edge; a node id that a signed 64-bit column cannot hold is
-    rejected."""
-    us, vs, flags, blank = array("q"), array("q"), bytearray(), []
+    flags (0 or 1), in input order.  Each node id is held to
+    ``graph.NODE_ID_LIMIT``, read at call time, on the line that holds it,
+    so every id that reaches a column fits its ``array('i')``."""
+    limit = graph.NODE_ID_LIMIT
+    us, vs, flags = array("i"), array("i"), bytearray()
     for line_no, raw in enumerate(lines, start=1):
         body, _, comment = raw.partition("#")
         fields = body.split()
         if not fields:
-            blank.append(line_no)
             continue
         if len(fields) != 2:
             raise EdgeListError(line_no, f"expected two node ids, got {body.strip()!r}")
@@ -49,13 +45,12 @@ def _parse_columns(lines: Iterable[str]) -> tuple[array, array, bytearray, list[
             raise EdgeListError(line_no, f"non-integer node id in {body.strip()!r}") from None
         if u < 0 or v < 0:
             raise EdgeListError(line_no, f"negative node id in {body.strip()!r}")
-        try:
-            us.append(u)
-            vs.append(v)
-        except OverflowError:
-            raise EdgeListError(line_no, f"node id too large in {body.strip()!r}") from None
+        if u >= limit or v >= limit:
+            raise EdgeListError(line_no, f"node id {max(u, v)} not below the node-id limit {limit}")
+        us.append(u)
+        vs.append(v)
         flags.append("spurious" in comment)
-    return us, vs, flags, blank
+    return us, vs, flags
 
 
 def load_graph(source: str | IO[str]) -> tuple[Graph, list[bool]]:
@@ -64,10 +59,9 @@ def load_graph(source: str | IO[str]) -> tuple[Graph, list[bool]]:
     Returns the graph plus per-edge spurious flags aligned with edge ids.
     Flags of dropped duplicate/self-loop lines follow the first surviving
     occurrence of each edge.  The lines are parsed into compact columns
-    (8 bytes per endpoint, 1 per flag), not a list of per-edge tuples.  A
-    node id at or above ``NODE_ID_LIMIT`` is an ``EdgeListError``:
-    ``build_graph`` stops at it before allocating a map for it, and only
-    then is its line located.
+    (4 bytes per endpoint, 1 per flag), not a list of per-edge tuples.  A
+    malformed line, such as one with a node id at or above the limit, is an
+    ``EdgeListError`` that names it, raised before the graph is built.
     """
     if isinstance(source, str):
         if source == "-":
@@ -78,13 +72,8 @@ def load_graph(source: str | IO[str]) -> tuple[Graph, list[bool]]:
 
 
 def _load_stream(fh: IO[str]) -> tuple[Graph, list[bool]]:
-    us, vs, raw_flags, blank = _parse_columns(fh)
-    try:
-        g = build_graph(zip(us, vs))
-    except ValueError:
-        # Parsed ids are non-negative, so the node-id limit is what failed.
-        _reject_large_id(us, vs, blank)
-        raise
+    us, vs, raw_flags = _parse_columns(fh)
+    g = build_graph(zip(us, vs))
     if not any(raw_flags):
         return g, [False] * g.m
     flags = bytearray(g.m)
@@ -93,22 +82,6 @@ def _load_stream(fh: IO[str]) -> tuple[Graph, list[bool]]:
         if u != v:
             flags[g.edge_id(u, v)] = flag
     return g, list(map(bool, flags))
-
-
-def _reject_large_id(us: array, vs: array, blank: list[int]) -> None:
-    """Raise the ``EdgeListError`` of the first edge line with a node id at
-    or above ``NODE_ID_LIMIT``, if any; ``blank`` numbers the lines without
-    an edge."""
-    edge = next((k for k, (u, v) in enumerate(zip(us, vs)) if max(u, v) >= NODE_ID_LIMIT), None)
-    if edge is None:
-        return
-    line_no = edge + 1
-    for skipped in blank:
-        if skipped > line_no:
-            break
-        line_no += 1
-    big = max(us[edge], vs[edge])
-    raise EdgeListError(line_no, f"node id {big} not below the node-id limit {NODE_ID_LIMIT}")
 
 
 def write_edge_list(fh: IO[str], g: Graph, spurious: Sequence[bool] | None = None) -> None:

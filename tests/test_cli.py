@@ -13,7 +13,7 @@ from conftest import FIGURE_LEFT_EDGES, edge_list_text
 from trusslab import cli
 from trusslab.cli import build_parser, main
 from trusslab.gadgets import complete_graph
-from trusslab.io import EdgeListError, load_graph, parse_edge_lines
+from trusslab.io import EdgeListError, _parse_columns, load_graph
 from trusslab.truss import trussness
 
 
@@ -203,16 +203,17 @@ def test_id_past_the_endpoint_column_is_a_line_error(tmp_path, capsys):
     assert err.value.line_no == 2
     code, out, err = run_cli(capsys, "truss", "exact", path)
     assert (code, out) == (1, "")
-    assert err == "trusslab: error: line 2: node id too large in '0 9223372036854775808'\n"
+    assert err == ("trusslab: error: line 2: node id 9223372036854775808"
+                   " not below the node-id limit 10000000\n")
 
 
 @pytest.mark.parametrize("source", ["path", "stdin"])
 def test_id_at_the_node_limit_is_a_line_error(tmp_path, capsys, monkeypatch, source):
     """Under a node-id limit of 100 (the real limit would allocate millions
     of maps in a passing run), the first line with an id at or above it is
-    named, comment and blank lines counted."""
+    named, comment and blank lines counted.  The parser reads the limit when
+    it is called, so the same lines parse once the limit is restored."""
     monkeypatch.setattr(trusslab.graph, "NODE_ID_LIMIT", 100)
-    monkeypatch.setattr(trusslab.io, "NODE_ID_LIMIT", 100)
     text = "# header\n0 1\n\n1 2 # spurious\n99 3\n0 150\n150 0\n"
     path = write_graph(tmp_path, "big.edges", text)
     if source == "stdin":
@@ -224,7 +225,9 @@ def test_id_at_the_node_limit_is_a_line_error(tmp_path, capsys, monkeypatch, sou
     code, out, err = run_cli(capsys, "truss", "exact", path)
     assert (code, out) == (1, "")
     assert err == "trusslab: error: line 6: node id 150 not below the node-id limit 100\n"
-    assert parse_edge_lines(text.splitlines())[0][-1] == (150, 0)
+    monkeypatch.undo()
+    us, vs, _ = _parse_columns(text.splitlines())
+    assert (us[-1], vs[-1]) == (150, 0)
 
 
 @pytest.mark.parametrize(
@@ -244,21 +247,26 @@ def test_id_at_the_node_limit_is_a_line_error(tmp_path, capsys, monkeypatch, sou
         ("-1 2", "line 2: negative node id in '-1 2'"),
         ("1 0 # spurious", ([(1, 0)], [True])),
         ("2 2 # spurious", ([(2, 2)], [True])),
-        # the largest id the endpoint column holds; parsed only, never built
-        ("0 9223372036854775807", ([(0, 9223372036854775807)], [False])),
-        ("0 9223372036854775808", "line 2: node id too large in '0 9223372036854775808'"),
-        ("9" * 30 + " 1", f"line 2: node id too large in '{'9' * 30} 1'"),
+        ("0 9223372036854775807",
+         "line 2: node id 9223372036854775807 not below the node-id limit 10000000"),
+        ("0 9223372036854775808",
+         "line 2: node id 9223372036854775808 not below the node-id limit 10000000"),
+        ("9" * 30 + " 1", f"line 2: node id {'9' * 30} not below the node-id limit 10000000"),
+        # the largest id below the limit, then the limit itself
+        ("9999999 0", ([(9999999, 0)], [False])),
+        ("0 10000000", "line 2: node id 10000000 not below the node-id limit 10000000"),
     ],
 )
 def test_parse_edge_lines_table(line, parsed):
     lines = ["0 1\n", line]
     if isinstance(parsed, str):
         with pytest.raises(EdgeListError) as err:
-            parse_edge_lines(lines)
+            _parse_columns(lines)
         assert (str(err.value), err.value.line_no) == (parsed, 2)
     else:
         edges, flags = parsed
-        assert parse_edge_lines(lines) == ([(0, 1)] + edges, [False] + flags)
+        us, vs, got = _parse_columns(lines)
+        assert (list(zip(us, vs)), list(map(bool, got))) == ([(0, 1)] + edges, [False] + flags)
 
 
 def test_gadget_blowup_quantities(tmp_path, capsys):
@@ -405,6 +413,21 @@ def test_non_finite_flag_is_usage_error(tmp_path, capsys, argv):
     assert code == 2
     assert out == ""
     assert f"got {argv[-1]}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["truss", "approx", "--epsilon", "abc"], "float"),
+        (["truss", "threshold", "--epsilon", "abc"], "float"),
+        (["gadget", "blowup", "-q", "abc"], "int"),
+    ],
+)
+def test_non_numeric_flag_is_usage_error(tmp_path, capsys, argv, kind):
+    path = write_graph(tmp_path, "k3.edges", edge_list_text(complete_graph(3)))
+    code, out, err = run_cli(capsys, *argv, path)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"invalid {kind} value: 'abc'\n")
 
 
 @pytest.mark.parametrize(
@@ -587,6 +610,36 @@ def test_bench_empty_manifest_is_io_error(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err == f"trusslab: error: no paths in corpus manifest {manifest}\n"
+
+
+def test_bench_manifest_resolves_relative_and_absolute_paths(tmp_path, capsys):
+    """A manifest names graphs relative to its own directory or by absolute
+    path, skipping comments and blank lines; its bench equals that of the
+    directory holding the same graphs."""
+    corpus = bench_corpus(tmp_path)
+    lists = tmp_path / "lists"
+    lists.mkdir()
+    manifest = lists / "m.txt"
+    manifest.write_text(f"# graphs\n\n../corpus/k5.edges\n{os.path.join(corpus, 'path.edges')}\n")
+    grid = ["--no-timing", "--seeds", "0:2"]
+    code, from_manifest, _ = run_cli(capsys, "bench", "--corpus", str(manifest), *grid)
+    assert code == 0
+    code, from_dir, _ = run_cli(capsys, "bench", "--corpus", corpus, *grid)
+    assert code == 0
+    assert {r["graph"] for r in csv.DictReader(io.StringIO(from_manifest))} == {"k5", "path"}
+    assert from_manifest == from_dir
+
+
+def test_bench_seed_list_and_bad_seed_range(tmp_path, capsys):
+    corpus = bench_corpus(tmp_path)
+    code, out, _ = run_cli(capsys, "bench", "--corpus", corpus, "--estimators", "approx",
+                           "--seeds", "1,3", "--no-timing")
+    assert code == 0
+    runs = [r for r in csv.DictReader(io.StringIO(out)) if r["kind"] == "run"]
+    assert [r["seed"] for r in runs] == ["1", "3", "1", "3"]
+    code, out, err = run_cli(capsys, "bench", "--corpus", corpus, "--seeds", "x:2")
+    assert (code, out) == (2, "")
+    assert err.endswith("bad seed range: 'x:2'\n")
 
 
 def test_bench_deterministic_without_timing(tmp_path, capsys):

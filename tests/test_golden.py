@@ -4,7 +4,10 @@ The expected files under ``tests/golden`` were captured from the CLI before
 the graph core moved to per-node edge-id maps; ``bench.out`` was recaptured
 when the bench CSV dropped its ``reused`` column, and again when its
 ``within`` column began to judge the threshold estimator by its
-t~ <= t <= (3+eps)·t~ sandwich (six fields went 0 -> 1).  The top-level
+t~ <= t <= (3+eps)·t~ sandwich (six fields went 0 -> 1).  The ``exact``,
+``threshold``, ``triangles-count`` and ``order`` goldens were captured
+before the loader began to check each node id on its line and to hold
+ids in 4-byte columns, so they pin that change byte for byte.  The top-level
 ``sample`` goldens all fall back to p = 1, so ``sampled/gnp40`` pins a run
 whose doubling passes really sample; its edge file sits in a subdirectory
 because ``bench`` reads every ``*.edges`` file at the top level.
@@ -31,7 +34,11 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 # gnp_random_graph(9, 0.5, 4), bipartite_apex(3) and ladder_gadget(4)
 GRAPHS = ["gnp9", "apex3", "ladder4"]
 COMMANDS = {
+    "exact": ["truss", "exact"],
     "decompose": ["truss", "decompose"],
+    "threshold": ["truss", "threshold"],
+    "triangles-count": ["triangles", "count"],
+    "order": ["order"],
     "order-edges": ["order", "--edges"],
     "triangles-list": ["triangles", "list"],
     "sample": ["sample", "--zeta", "0.05", "--seed", "1"],

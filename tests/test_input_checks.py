@@ -1,0 +1,41 @@
+"""The input checks of the library's entry points, one table row each: the
+ValueError text a bad argument raises, or the value an edge case returns."""
+
+import re
+
+import pytest
+
+from trusslab.approx import approx_order_holds
+from trusslab.gadgets import add_spurious_cliques, bipartite_apex, complete_graph, ladder_gadget
+from trusslab.graph import BucketQueue, build_graph
+from trusslab.sampling import gnp_random_graph
+from trusslab.truss import max_truss_subgraph, suffix_support_profile
+
+K3 = complete_graph(3)
+
+CHECKS = {
+    "complete_graph(0)": (lambda: complete_graph(0), "complete_graph needs at least one node"),
+    "ladder_gadget(0)": (lambda: ladder_gadget(0), "ladder parameter must be >= 1"),
+    "bipartite_apex(0)": (lambda: bipartite_apex(0), "side must be >= 1"),
+    "add_spurious_cliques(K3, -1)": (lambda: add_spurious_cliques(K3, -1),
+                                     "clique parameter x must be >= 0"),
+    "gnp_random_graph(-1, 0.5)": (lambda: gnp_random_graph(-1, 0.5, 0), "n must be >= 0"),
+    "gnp_random_graph(5, 1.5)": (lambda: gnp_random_graph(5, 1.5, 0),
+                                 "p must be in [0, 1], got 1.5"),
+    "max_truss_subgraph(K3, -1)": (lambda: max_truss_subgraph(K3, -1), "k must be >= 0"),
+    "suffix_support_profile(K3, [0, 0, 1])": (lambda: suffix_support_profile(K3, [0, 0, 1]),
+                                              "order is not a permutation of the edge ids"),
+    "BucketQueue([-1])": (lambda: BucketQueue([-1]), "bucket keys must be non-negative"),
+    # an empty order holds on a graph without edges
+    "approx_order_holds(empty)": (lambda: approx_order_holds(build_graph([]), [], 0.5), True),
+}
+
+
+@pytest.mark.parametrize("case", CHECKS)
+def test_input_check(case):
+    call, expected = CHECKS[case]
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            call()
+    else:
+        assert call() is expected
