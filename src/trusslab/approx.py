@@ -13,23 +13,17 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
-from typing import Iterable, Iterator, Sequence, Sized
+from itertools import compress
+from typing import Iterable, Sequence, Sized
 
 from . import gadgets, graph
 from .gadgets import augmented_sizes, blowup, complete_graph, disjoint_union
 from .graph import BucketQueue, Graph, build_graph, degeneracy_order
-from .sampling import (
-    HypergraphSample,
-    SamplerConfig,
-    _MarkerRounds,
-    fallback_certain,
-    sample_hypergraph,
-)
-from .triangles import compute_supports
+from .sampling import HypergraphSample, SamplerConfig, _doubling, _MarkerRounds, fallback_certain
+from .triangles import Triples, compute_supports, forward_rows
 from .truss import suffix_support_profile, truss_decomposition
 
 
@@ -40,12 +34,14 @@ class ApproxTrussOrder:
     Always a permutation of all edge ids (vertices with no sampled hyperedge
     peel first, ties by id).  ``forward_degrees[i]`` is the residual sampled
     degree of ``order[i]`` at its removal; on a full (unsampled) hypergraph
-    their maximum equals the graph trussness.
+    their maximum equals the graph trussness.  ``fell_back_to_exact`` and
+    ``realized_p`` are the sample's; the sample itself is not kept.
     """
 
     order: list[int]
     forward_degrees: list[int]
-    sample: HypergraphSample
+    fell_back_to_exact: bool
+    realized_p: float
 
     @property
     def degeneracy(self) -> int:
@@ -57,65 +53,65 @@ def hypergraph_degeneracy_order(sample: HypergraphSample) -> ApproxTrussOrder:
 
     Removing a vertex deletes its incident hyperedges, decrementing the two
     other endpoints of each; on the full triangle hypergraph this replays
-    exact min-support edge peeling step for step.  Collects every pop of
-    ``_hypergraph_peel``.
+    exact min-support edge peeling step for step.  The hyperedges are read
+    in place from their flat column, by their offsets in it
+    (``_incidence``).
     """
-    pops = list(_hypergraph_peel(sample.vertex_count, sample.hyperedges))
-    return ApproxTrussOrder([v for v, _ in pops], [d for _, d in pops], sample)
-
-
-def _hypergraph_peel(
-    m: int, hyperedges: Sequence[tuple[int, int, int]]
-) -> Iterator[tuple[int, int]]:
-    """The pops (vertex, residual degree) of the min-degree peel of the m
-    vertices and these hyperedges, lazily.
-
-    Each pop is yielded before its hyperedges are removed, so a consumer
-    that stops early pays for the degree count, the queue and the pops it
-    took.  The incidence lists wait for the first pop that removes a
-    hyperedge, so a peel read only up to such a pop never builds them.
-    """
-    degree = Counter(chain.from_iterable(hyperedges))
-    queue = BucketQueue(map(degree.__getitem__, range(m)))
-    incidence: list[list[int]] | None = None
-    live = [True] * len(hyperedges)
+    m = sample.vertex_count
+    ids = Triples.of(sample.hyperedges).ids
+    incidence = _incidence(m, ids)
+    queue = BucketQueue(map(len, incidence))
+    dead = bytearray(len(ids))
+    order: list[int] = []
+    forward: list[int] = []
     for _ in range(m):
         v, d = queue.pop_min()
-        yield v, d
+        order.append(v)
+        forward.append(d)
         # d counts v's live hyperedges; at 0 there is nothing to remove.
         if not d:
             continue
-        if incidence is None:
-            incidence = [[] for _ in range(m)]
-            for idx, (a, b, c) in enumerate(hyperedges):
-                incidence[a].append(idx)
-                incidence[b].append(idx)
-                incidence[c].append(idx)
         # Both other endpoints of a live hyperedge are live; v itself is
-        # popped, so the queue skips it.
-        batch: list[int] = []
-        for idx in incidence[v]:
-            if live[idx]:
-                live[idx] = False
-                batch.extend(hyperedges[idx])
+        # popped, so the queue skips it.  The batch copies ids column to
+        # column, with no int made until the queue reads it.
+        batch = array("i")
+        for at in incidence[v]:
+            if not dead[at]:
+                dead[at] = 1
+                batch += ids[at:at + 3]
         queue.decrease(batch)
+    return ApproxTrussOrder(order, forward, sample.fell_back_to_exact, sample.realized_p)
+
+
+def _incidence(m: int, ids: Sequence[int]) -> list[list[int]]:
+    """Per vertex below m, the offset in the flat column ``ids`` of each
+    hyperedge that holds it; a vertex's list is as long as its degree."""
+    incidence: list[list[int]] = [[] for _ in range(m)]
+    column = iter(ids)
+    for at, (a, b, c) in zip(range(0, len(ids), 3), zip(column, column, column)):
+        incidence[a].append(at)
+        incidence[b].append(at)
+        incidence[c].append(at)
+    return incidence
 
 
 def approx_truss_order(g: Graph, cfg: SamplerConfig) -> ApproxTrussOrder:
     """Sample the triangle hypergraph of g and peel it.
 
-    When the sampler falls back to exact enumeration the result is an exact
-    truss order of g, since peeling the full hypergraph coincides with
-    min-support edge peeling; the order and its forward degrees then come
-    from that peel (``truss_decomposition``), which costs about a quarter
-    of the hypergraph peel of all T triangles.
+    When the doubling loop reaches p = 1 nothing is listed: the order is
+    then an exact truss order of g, since peeling the full hypergraph
+    coincides with min-support edge peeling, and the order and its forward
+    degrees come from that peel (``truss_decomposition``), which costs
+    about a quarter of the hypergraph peel of all T triangles.  A sampled
+    order's hyperedges are freed after its peel.
     """
     info = degeneracy_order(g)
-    sample = sample_hypergraph(g, info, cfg)
-    if sample.fell_back_to_exact:
+    rows = list(forward_rows(g, info.order, info.positions))
+    found = _doubling(g, info, rows, cfg, random.Random(cfg.seed))
+    if found is None:
         exact = truss_decomposition(g)[1]
-        return ApproxTrussOrder(exact.order, exact.forward_support, sample)
-    return hypergraph_degeneracy_order(sample)
+        return ApproxTrussOrder(exact.order, exact.forward_support, True, 1.0)
+    return hypergraph_degeneracy_order(HypergraphSample(g.m, *found, False, cfg.seed))
 
 
 def approx_order_holds(g: Graph, order: Sequence[int], epsilon: float) -> bool:
@@ -173,8 +169,9 @@ class EstimateResult:
     deterministic and seed-independent.  Rounds whose fallback is certain
     are decided in closed form from one exact decomposition of the input,
     with the outcome an exact peel of the augmented graph would give.  A
-    sampled round's outcome is read off the prefix of its sample's peel
-    that decides ``marker_test``; the rest of that peel is never run.
+    sampled round's outcome is the marker test on its sample's peel, read
+    off a core test of the sample's working part (``_marker_hit``); that
+    peel is never run.
     """
 
     estimate: Fraction
@@ -215,14 +212,35 @@ def _marker_hit(m: int, kept: Sequence[tuple[int, int, int]], marks: Sequence[in
     peels by (degree, id), and the marker edges have the larger ids.  The
     marker part first pops at k*, the least marker-edge degree, once the
     working part's next pop has a larger degree; so some marker edge
-    precedes a working edge iff the working part's peel, read lazily,
-    pops some edge at a degree above k*.  With k* = 0 that is any pop
-    above 0, which comes iff the working part kept a hyperedge.
+    precedes a working edge iff the working part's peel pops some edge at
+    a degree above k*, that is iff its degeneracy exceeds k*, iff its
+    (k*+1)-core is not empty.  With k* = 0 that core is every kept
+    hyperedge.  Otherwise a worklist finds it, with no queue and no
+    tie-break: vertices of degree at most k* drop, each taking its live
+    hyperedges with it, and a vertex joins the worklist when its degree
+    falls to k*; the core is what is left.
     """
     least = min(marks)
+    ids = Triples.of(kept).ids
+    live = len(ids) // 3
     if not least:
-        return bool(kept)
-    return any(d > least for _, d in _hypergraph_peel(m, kept))
+        return live > 0
+    incidence = _incidence(m, ids)
+    degree = list(map(len, incidence))
+    drop = [v for v, d in enumerate(degree) if d <= least]
+    dead = bytearray(len(ids))
+    while drop:
+        for at in incidence[drop.pop()]:
+            if dead[at]:
+                continue
+            dead[at] = 1
+            live -= 1
+            for w in ids[at:at + 3]:
+                d = degree[w] - 1
+                degree[w] = d
+                if d == least:
+                    drop.append(w)
+    return live > 0
 
 
 def estimate_trussness(

@@ -11,9 +11,10 @@ graph; one runner per kind loads the input, times the computation, writes
 the output and reports, so those steps are written once.  Each subcommand is
 declared once, by ``_command``, which also gives it its input argument and
 ``--out``.  Line outputs are streamed with one ``writelines``, never built as
-one string; rows of three integers go out a chunk of rows per string
-(``_triple_lines``).  The argument parser, runners included, is built once per
-process, so in-process callers of ``main`` pay for it once.
+one string; rows of three integers, read from one flat int column, go out a
+chunk of rows per string (``_triple_lines``).  The argument parser, runners
+included, is built once per process, so in-process callers of ``main`` pay
+for it once.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import math
 import os
 import sys
 import time
+from array import array
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
@@ -173,14 +175,15 @@ _CHUNK = 4096  # rows per string of ``_triple_lines``
 _CHUNK_FORMAT = "%d %d %d\n" * _CHUNK
 
 
-def _triple_lines(rows: Sequence[tuple[int, int, int]]) -> Iterator[str]:
-    """The lines ``f"{a} {b} {c}\n"`` of integer rows (a, b, c), ``_CHUNK``
-    rows per string: one C-level format per chunk, and memory flat in the
-    row count."""
-    for start in range(0, len(rows), _CHUNK):
-        chunk = rows[start:start + _CHUNK]
-        form = _CHUNK_FORMAT if len(chunk) == _CHUNK else "%d %d %d\n" * len(chunk)
-        yield form % tuple(chain.from_iterable(chunk))
+def _triple_lines(flat: Sequence[int]) -> Iterator[str]:
+    """The lines ``f"{a} {b} {c}\n"`` of the rows (a, b, c) of a flat int
+    sequence, three ints per row, ``_CHUNK`` rows per string: one C-level
+    format per chunk, and memory flat in the row count."""
+    step = 3 * _CHUNK
+    for start in range(0, len(flat), step):
+        chunk = flat[start:start + step]
+        form = _CHUNK_FORMAT if len(chunk) == step else "%d %d %d\n" * (len(chunk) // 3)
+        yield form % tuple(chunk)
 
 
 def _truss_exact(g, args):
@@ -227,8 +230,15 @@ def _triangles_count(g, args):
 
 
 def _triangles_list(g, args):
-    rows = sorted(sorted3(u, a, b) for u, a, b, *_ in forward_triangles(g))
-    return _triple_lines(rows), {"triangles": len(rows)}
+    # Node triples sort as their keys (x*n + y)*n + z, x < y < z, one int each.
+    n = g.n
+    keys = sorted((x * n + y) * n + z
+                  for x, y, z in (sorted3(u, a, b) for u, a, b, *_ in forward_triangles(g)))
+    flat = array("i")
+    for key in keys:
+        xy, z = divmod(key, n)
+        flat.extend((*divmod(xy, n), z))
+    return _triple_lines(flat), {"triangles": len(keys)}
 
 
 def _node_order(g, args):
@@ -258,7 +268,7 @@ def _sample(g, args):
         [f"# m={g.m} wedges={wedges} p={sample.realized_p:.10g}"
          f" fallback={'true' if sample.fell_back_to_exact else 'false'}"
          f" hyperedges={len(sample.hyperedges)} seed={sample.rng_seed}\n"],
-        _triple_lines(sample.hyperedges),
+        _triple_lines(sample.hyperedges.ids),
     )
     fields = {"result": len(sample.hyperedges), "seed": args.seed, "epsilon": args.epsilon,
               "zeta": args.zeta}

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +24,7 @@ from typing import Callable, Sequence, TypeVar
 
 from .gadgets import augmented_sizes, spurious_clique_budget
 from .graph import DegeneracyInfo, Graph, build_graph, degeneracy_order, forward_wedge_count
-from .triangles import ForwardRow, forward_rows, list_triangles, sorted3
+from .triangles import ForwardRow, Triples, forward_rows, list_triangles
 
 
 @dataclass(frozen=True)
@@ -51,14 +52,15 @@ class SamplerConfig:
 class HypergraphSample:
     """A Bernoulli sample of the triangle hypergraph.
 
-    Hyperedges are canonical ascending edge-id triples; no duplicates are
+    Hyperedges are canonical ascending edge-id triples, in probe order, in
+    one flat 4-byte column (``Triples``, 12 bytes each); no duplicates are
     possible because each triangle is visited through its unique forward
     wedge.  When the probability-doubling loop would push p to 1 or beyond,
     ``fell_back_to_exact`` is set and ``hyperedges`` holds all triangles.
     """
 
     vertex_count: int
-    hyperedges: list[tuple[int, int, int]]
+    hyperedges: Triples
     realized_p: float
     fell_back_to_exact: bool
     rng_seed: int
@@ -112,7 +114,7 @@ def _walk(
     gap: int,
     draw: Callable[[], float],
     lq: float,
-    keep: Callable[[tuple[int, int, int]], object] | list[int],
+    keep: array | list[int],
     base: int = -1,
 ) -> int:
     """The probes of one stretch of forward rows; returns the offset of the
@@ -132,8 +134,9 @@ def _walk(
 
     A graph's rows (``base`` < 0) are probed through ``links``, its
     neighbor maps: a probed wedge closes iff the later node's map holds
-    the other one, and ``keep`` receives each closed wedge as an ascending
-    edge-id triple.  The rows of one marker clique (``_clique_rows``, with
+    the other one, and each closed wedge's three edge ids are ordered in
+    place and appended to ``keep``, a ``Triples`` column, with no tuple
+    made.  The rows of one marker clique (``_clique_rows``, with
     ``base`` the clique's first marker index) close every wedge, and their
     edge ids are arithmetic: the pair (v, b) of the clique has index
     ``base + links[v] + b``.  There ``keep`` is the list of sampled
@@ -141,6 +144,7 @@ def _walk(
     its three edges, with no lookup and no triple.
     """
     isqrt, log, ceil = math.isqrt, math.log, math.ceil
+    push = keep.append
     for u, later, ids in rows:
         last = len(later) - 1
         size = last * (last + 1) // 2
@@ -153,9 +157,20 @@ def _walk(
             if base < 0:
                 closes, a = links[later[i]].get, ids[i]
                 while j <= last:
-                    closing = closes(later[j])
-                    if closing is not None:
-                        keep(sorted3(a, ids[j], closing))
+                    c = closes(later[j])
+                    if c is not None:
+                        b = ids[j]
+                        if a < b:
+                            lo, hi = a, b
+                        else:
+                            lo, hi = b, a
+                        if c < lo:
+                            lo, hi, c = c, lo, hi
+                        elif c < hi:
+                            hi, c = c, hi
+                        push(lo)
+                        push(hi)
+                        push(c)
                     j += ceil(log(draw() or _positive(draw)) / lq)
             else:
                 a = later[i]
@@ -172,9 +187,7 @@ def _walk(
     return gap
 
 
-def _skip_pass(
-    g: Graph, rows: list[ForwardRow], p: float, rng: random.Random
-) -> list[tuple[int, int, int]]:
+def _skip_pass(g: Graph, rows: list[ForwardRow], p: float, rng: random.Random) -> Triples:
     """The closed wedges among those a geometric skip sequence selects.
 
     ``rows`` are g's forward rows (``forward_rows``) in degeneracy order,
@@ -185,11 +198,11 @@ def _skip_pass(
     """
     if p == 1.0:
         return list_triangles(g, rows)
-    out: list[tuple[int, int, int]] = []
+    out = Triples()
     gap = geometric_skip(p, rng) - 1
     if gap >= g.m * (g.m - 1) // 2:
         return out
-    _walk(rows, list(map(g.neighbors, range(g.n))), gap, rng.random, math.log1p(-p), out.append)
+    _walk(rows, list(map(g.neighbors, range(g.n))), gap, rng.random, math.log1p(-p), out.ids)
     return out
 
 
@@ -297,29 +310,38 @@ def effective_epsilon(epsilon: float, n: int) -> float:
 
 
 def sample_hypergraph(g: Graph, info: DegeneracyInfo, cfg: SamplerConfig) -> HypergraphSample:
-    """Sample the triangle hypergraph with probability doubling (``_double``).
+    """Sample the triangle hypergraph with probability doubling (``_doubling``).
 
     If p reaches 1 before a pass keeps the target size, the fallback flag
     is set and one more pass runs at p = 1: the triangle listing
     (``list_triangles``), which keeps all triangles and draws nothing.
-    Identical (graph, config) inputs give identical samples.  A zeta so small that the first p
-    underflows to 0 raises ValueError.
+    Identical (graph, config) inputs give identical samples.  A zeta so
+    small that the first p underflows to 0 raises ValueError.
     """
-    W = forward_wedge_count(g, info)
-    if W == 0:
-        return HypergraphSample(g.m, [], 1.0, True, cfg.seed)
     rows = list(forward_rows(g, info.order, info.positions))
     rng = random.Random(cfg.seed)
+    found = _doubling(g, info, rows, cfg, rng)
+    if found is None:
+        return HypergraphSample(g.m, _skip_pass(g, rows, 1.0, rng), 1.0, True, cfg.seed)
+    return HypergraphSample(g.m, *found, False, cfg.seed)
 
-    def walk(p: float) -> tuple[list[tuple[int, int, int]], int]:
+
+def _doubling(
+    g: Graph, info: DegeneracyInfo, rows: list[ForwardRow], cfg: SamplerConfig,
+    rng: random.Random,
+) -> tuple[Triples, float] | None:
+    """The doubling loop (``_double``) of ``sample_hypergraph`` over g's
+    forward ``rows``: the kept pass and its p, or None once p reaches 1,
+    at once if g has no wedge."""
+    W = forward_wedge_count(g, info)
+    if W == 0:
+        return None
+
+    def walk(p: float) -> tuple[Triples, int]:
         sample = _skip_pass(g, rows, p, rng)
         return sample, len(sample)
 
-    found = _double(g.n, g.m, W, cfg.epsilon, cfg.zeta, rng, walk)
-    if found is None:
-        return HypergraphSample(g.m, _skip_pass(g, rows, 1.0, rng), 1.0, True, cfg.seed)
-    sample, p = found
-    return HypergraphSample(g.m, sample, p, False, cfg.seed)
+    return _double(g.n, g.m, W, cfg.epsilon, cfg.zeta, rng, walk)
 
 
 def _clique_rows(size: int) -> tuple[list[ForwardRow], list[int]]:
@@ -365,11 +387,10 @@ class _MarkerRounds:
         """Position in G's order before which round x's cliques are inserted."""
         return bisect_right(self._key_max, x + 1)
 
-    def marker_pass(
-        self, x: int, p: float, rng: random.Random
-    ) -> tuple[list[tuple[int, int, int]], list[int]]:
-        """One skip pass of round x: the closed wedges of G it keeps, and the
-        sampled degree of each marker edge, indexed by edge id - m.
+    def marker_pass(self, x: int, p: float, rng: random.Random) -> tuple[Triples, list[int]]:
+        """One skip pass of round x: the closed wedges of G it keeps, in one
+        flat column, and the sampled degree of each marker edge, indexed by
+        edge id - m.
 
         Equals ``_skip_pass`` on the materialised augmented graph, with its
         RNG draws: G's rows before the cliques, then count * C(x+2, 3)
@@ -384,29 +405,29 @@ class _MarkerRounds:
         split = bisect_left(self._row_at, self.block_at(x))
         crows, clinks = _clique_rows(size)
         draw, lq = rng.random, math.log1p(-p)
-        kept: list[tuple[int, int, int]] = []
+        kept = Triples()
         marks = [0] * (count * pairs)
         gap = _walk(self.rows[:split], self._links, geometric_skip(p, rng) - 1, draw, lq,
-                    kept.append)
+                    kept.ids)
         c, gap = divmod(gap, per)
         while c < count:
             gap = _walk(crows, clinks, gap, draw, lq, marks, c * pairs)
             over, gap = divmod(gap, per)
             c += 1 + over
         gap += (c - count) * per
-        _walk(self.rows[split:], self._links, gap, draw, lq, kept.append)
+        _walk(self.rows[split:], self._links, gap, draw, lq, kept.ids)
         return kept, marks
 
     def sample(
         self, x: int, epsilon: float, zeta: float, seed: int
-    ) -> tuple[list[tuple[int, int, int]], list[int]] | None:
+    ) -> tuple[Triples, list[int]] | None:
         """Round x's doubling loop, as ``sample_hypergraph`` runs it on the
         augmented graph with this seed: the kept pass's G hyperedges and
         marker-edge degrees, or None if p reaches 1."""
         g = self.graph
         rng = random.Random(seed)
 
-        def walk(p: float) -> tuple[tuple[list[tuple[int, int, int]], list[int]], int]:
+        def walk(p: float) -> tuple[tuple[Triples, list[int]], int]:
             kept, marks = self.marker_pass(x, p, rng)
             return (kept, marks), len(kept) + sum(marks) // 3
 

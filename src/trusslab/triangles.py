@@ -5,14 +5,17 @@ order (Chiba & Nishizeki 1985): a triangle's earliest node sees the other
 two among its later neighbors, so it closes exactly one of them.  That
 order fixes the listing order and the sampler's wedge serials.  The listing
 reads triangles as the triangle hypergraph: one vertex per edge, one
-hyperedge per triangle, given as its ascending edge-id triple.  Supports
-need no order: an edge's support is the number of common neighbors of its
-endpoints, one C-level intersection per edge.
+hyperedge per triangle, given as its ascending edge-id triple, three ints
+in one flat 4-byte column (``Triples``).  Supports need no order: an edge's
+support is the number of common neighbors of its endpoints, one C-level
+intersection per edge.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .graph import Graph, degeneracy_order
@@ -27,6 +30,51 @@ class SupportTable:
 
     support: list[int]
     triangle_count: int
+
+
+class Triples(Sequence):
+    """Hyperedges of the triangle hypergraph as one flat ``array('i')``,
+    ``ids``: hyperedge i is the ascending edge-id triple ids[3i:3i+3], so
+    each costs 12 bytes where a tuple in a list costs ~72.  Its length is
+    the hyperedge count; indexing and iteration give the triples as tuples,
+    made on demand, and it equals a list holding the same tuples.
+    """
+
+    __slots__ = ("ids",)
+
+    def __init__(self, ids: array | None = None):
+        self.ids = array("i") if ids is None else ids
+
+    @classmethod
+    def of(cls, hyperedges: Sequence[tuple[int, int, int]]) -> Triples:
+        """``hyperedges`` itself if it is a ``Triples``, else its triples
+        copied into one."""
+        if isinstance(hyperedges, Triples):
+            return hyperedges
+        return cls(array("i", chain.from_iterable(hyperedges)))
+
+    def __len__(self) -> int:
+        return len(self.ids) // 3
+
+    def __getitem__(self, i: int) -> tuple[int, int, int]:
+        start = 3 * range(len(self))[i]
+        return tuple(self.ids[start:start + 3])
+
+    def __iter__(self) -> Iterator[tuple[int, int, int]]:
+        column = iter(self.ids)
+        return zip(column, column, column)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Triples):
+            return self.ids == other.ids
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Triples({list(self)!r})"
 
 
 def sorted3(x: int, y: int, z: int) -> tuple[int, int, int]:
@@ -96,16 +144,27 @@ def compute_supports(g: Graph) -> SupportTable:
     return SupportTable(support, sum(support) // 3)
 
 
-def list_triangles(
-    g: Graph, rows: Iterable[ForwardRow] | None = None
-) -> list[tuple[int, int, int]]:
+def list_triangles(g: Graph, rows: Iterable[ForwardRow] | None = None) -> Triples:
     """Every triangle once, as its ascending edge-id triple: the hyperedges
     of the triangle hypergraph, in ``forward_triangles`` order over ``rows``
     (by default g's forward rows in degeneracy order).
 
-    Memory is ~72 bytes per triangle on 64-bit CPython 3.11, as measured
-    with tracemalloc: a 64-byte tuple and its 8-byte list slot, the ids
-    being the graph's own int objects.  The 276 267 triangles of a
-    G(250, 0.48) graph hold 20 MB.
+    Each triple is ordered inline and its three ids appended to the column,
+    with no tuple kept: ~12.3 bytes per triangle on 64-bit CPython 3.11,
+    the column's 12 and its growth slack, as measured with tracemalloc.
+    The 276 267 triangles of ``gnp_random_graph(250, 0.48, 1)`` hold
+    3.4 MB.
     """
-    return [sorted3(x, y, z) for *_, x, y, z in forward_triangles(g, rows)]
+    out = Triples()
+    push = out.ids.append
+    for *_, a, b, c in forward_triangles(g, rows):
+        if a > b:
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+            if a > b:
+                a, b = b, a
+        push(a)
+        push(b)
+        push(c)
+    return out

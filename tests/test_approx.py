@@ -29,7 +29,6 @@ from test_triangles import mask_rule_graphs
 from test_truss import _hub_graph
 from trusslab import approx
 from trusslab.approx import (
-    _hypergraph_peel,
     _marker_hit,
     _round_order,
     approx_order_holds,
@@ -100,16 +99,14 @@ def test_full_hypergraph_peel_equals_support_peel(g):
 
 
 def test_sampled_hypergraph_peel_matches_reference():
-    """The lazy peel, read whole or collected, pops what recounting every
-    degree before each pop gives, on samples of several densities."""
+    """The peel of a sample's flat column pops what recounting every degree
+    before each pop gives, on samples of several densities."""
     for seed in range(6):
         g = gnp_random_graph(12 + 2 * seed, 0.5, seed)
         info = degeneracy_order(g)
         for p in (0.1, 0.4, 1.0):
             sample = sample_wedges_fixed_p(g, info, p, seed)
             want = reference_hypergraph_peel(sample)
-            pops = _hypergraph_peel(sample.vertex_count, sample.hyperedges)
-            assert list(pops) == want, (seed, p)
             order = hypergraph_degeneracy_order(sample)
             assert list(zip(order.order, order.forward_degrees)) == want, (seed, p)
 
@@ -120,20 +117,21 @@ def test_sampled_hypergraph_peel_matches_reference():
 def test_fallback_order_is_exact():
     g = gnp_random_graph(9, 0.5, 21)
     order = approx_truss_order(g, SamplerConfig(epsilon=0.5, zeta=1e5, seed=0))
-    assert order.sample.fell_back_to_exact
+    assert order.fell_back_to_exact and order.realized_p == 1.0
     assert is_exact_truss_order(g, order.order)
     assert approx_order_holds(g, order.order, 0.0)
 
 
 def test_fallback_order_is_the_fallback_sample_peel():
     """A fallen-back order comes from the exact peel; it equals the
-    hypergraph peel of the fallback sample, which holds every triangle."""
+    hypergraph peel of the listing of every triangle, which the fallback
+    no longer builds."""
     graphs = [gnp_random_graph(25, p, seed) for p in (0.2, 0.4, 0.6) for seed in range(10)]
     graphs += [bipartite_apex(5), ladder_gadget(7), complete_graph(9)]
     for gi, g in enumerate(graphs):
         order = approx_truss_order(g, SamplerConfig(epsilon=0.5, seed=gi))
-        assert order.sample.fell_back_to_exact, gi
-        want = hypergraph_degeneracy_order(order.sample)
+        assert order.fell_back_to_exact and order.realized_p == 1.0, gi
+        want = hypergraph_degeneracy_order(full_hypergraph(g))
         assert (order.order, order.forward_degrees) == (want.order, want.forward_degrees), gi
 
 
@@ -155,10 +153,11 @@ def test_sampled_orders_are_loosely_approximate():
     random_path = 0
     for seed in range(100):
         order = approx_truss_order(g, SamplerConfig(epsilon=0.5, zeta=0.05, seed=seed))
-        if order.sample.fell_back_to_exact:
+        if order.fell_back_to_exact:
             assert approx_order_holds(g, order.order, 0.0)
             continue
         random_path += 1
+        assert 0.0 < order.realized_p < 1.0
         strict += approx_order_holds(g, order.order, 0.5)
         loose += approx_order_holds(g, order.order, 3.0)
     assert random_path >= 90
@@ -278,27 +277,15 @@ def _working(g):
     return disjoint_union(blowup(g, 6).materialize(), complete_graph(3))
 
 
-def test_round_order_pops_the_sample_peel_lazily(monkeypatch):
+def test_round_order_is_the_round_on_the_materialised_graph():
     """A sampled round's outcome and fallback flag equal those of the round
-    run on its materialised augmented graph, and a hit that peels reads the
-    working part's peel only up to its first pop above k*."""
+    run on its materialised augmented graph."""
     working = _working(gnp_random_graph(7, 0.6, 3))
     rounds = _MarkerRounds(working)
-    pops = []
-    peel = approx._hypergraph_peel
-
-    def counting(m, hyperedges):
-        for pop in peel(m, hyperedges):
-            pops.append(pop)
-            yield pop
-
-    monkeypatch.setattr(approx, "_hypergraph_peel", counting)
     kinds = Counter()
     for x in range(1, 20):
         for seed in range(3):
-            pops.clear()
             hit, fell_back = _round_order(rounds, x, 0.5 / 6, 0.001, seed)
-            read = list(pops)
             augmented = add_spurious_cliques(working, x)
             order, ref_fell_back = reference_round_order(augmented.graph, 0.5 / 6, 0.001, seed)
             assert fell_back == ref_fell_back, (x, seed)
@@ -308,11 +295,33 @@ def test_round_order_pops_the_sample_peel_lazily(monkeypatch):
                 continue
             assert hit == reference_marker_test(order, augmented.is_spurious), (x, seed)
             kinds[hit] += 1
-            if hit and read:
-                kinds["peeled hit"] += 1
-                assert len(read) < working.m
-                assert all(d < read[-1][1] for _, d in read[:-1])
-    assert set(kinds) == {True, False, "fell back", "peeled hit"}
+    assert set(kinds) == {True, False, "fell back"}
+
+
+def test_marker_hit_is_the_core_test_of_the_kept_column():
+    """On marker passes of seeded rounds, the worklist test hits exactly
+    when the peel of the kept column has a degeneracy above k*, the least
+    marker-edge degree: over empty columns, k* = 0, working parts that
+    peel away entirely and ones that keep a core."""
+    cases = Counter()
+    for gi, g in enumerate([_working(gnp_random_graph(7, 0.6, 3)), _working(complete_graph(4)),
+                            complete_graph(9)]):
+        rounds = _MarkerRounds(g)
+        for x in (1, 2, 4, 7):
+            for p in (0.001, 0.05, 0.3, 0.8):
+                for seed in range(3):
+                    kept, marks = rounds.marker_pass(x, p, random.Random(seed))
+                    least = min(marks)
+                    peel = hypergraph_degeneracy_order(HypergraphSample(g.m, kept, p, False, 0))
+                    want = peel.degeneracy > least
+                    assert _marker_hit(g.m, kept, marks) is want, (gi, x, p, seed)
+                    if not kept:
+                        cases["empty"] += 1
+                    elif not least:
+                        cases["k* = 0"] += 1
+                    else:
+                        cases["core" if want else "peels away"] += 1
+    assert set(cases) == {"empty", "k* = 0", "core", "peels away"}, cases
 
 
 def test_marker_on_exact_order_of_k6_with_small_x():

@@ -526,13 +526,13 @@ def test_working_graph_past_a_limit_is_one_line_error(tmp_path, capsys, monkeypa
 @pytest.mark.parametrize("rows", [0, 1, cli._CHUNK - 1, cli._CHUNK, cli._CHUNK + 1,
                                   3 * cli._CHUNK + 5])
 def test_triple_lines_match_the_line_format_across_chunks(rows):
-    """Chunked ``%d`` formatting gives the bytes of one f-string per row, at
-    and around every chunk boundary, with no string holding more than a
-    chunk of rows."""
+    """Chunked ``%d`` formatting of a flat int column gives the bytes of one
+    f-string per row of three, at and around every chunk boundary, with no
+    string holding more than a chunk of rows."""
     rng = random.Random(rows)
     triples = [(rng.randrange(10**9), rng.randrange(-5, 5), rng.randrange(2**40))
                for _ in range(rows)]
-    parts = list(cli._triple_lines(triples))
+    parts = list(cli._triple_lines([i for row in triples for i in row]))
     assert "".join(parts) == "".join(f"{a} {b} {c}\n" for a, b, c in triples)
     assert all(part.count("\n") <= cli._CHUNK for part in parts)
     assert len(parts) == -(-rows // cli._CHUNK)

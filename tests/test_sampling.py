@@ -1,4 +1,5 @@
 import math
+import os
 import random
 import sys
 from collections import Counter
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import traced_bytes
 from trusslab import sampling
 from trusslab.gadgets import (
     add_spurious_cliques,
@@ -19,6 +21,7 @@ from trusslab.gadgets import (
     ladder_gadget,
 )
 from trusslab.graph import build_graph, degeneracy_order, forward_wedge_count
+from trusslab.io import load_graph
 from trusslab.sampling import (
     HypergraphSample,
     SamplerConfig,
@@ -499,6 +502,39 @@ def test_huge_zeta_forces_exact_fallback():
         assert s.realized_p == 1.0
         assert s.hyperedges == list_triangles(g)
         assert len(s.hyperedges) == compute_supports(g).triangle_count > 0
+
+
+def test_sampled_cell_holds_at_most_16_bytes_per_hyperedge():
+    """The sample of the sampled golden cell (``sampled/gnp40``, zeta =
+    0.05, seed 1: 1191 hyperedges at p ~ 0.9) keeps one flat 4-byte id
+    column; a list of tuples held ~72 bytes per hyperedge (tracemalloc)."""
+    g, _ = load_graph(os.path.join(os.path.dirname(__file__), "golden", "sampled", "gnp40.edges"))
+    info = degeneracy_order(g)
+    cfg = SamplerConfig(epsilon=0.5, zeta=0.05, seed=1)
+    s, kept, _ = traced_bytes(lambda: sample_hypergraph(g, info, cfg))
+    assert not s.fell_back_to_exact and len(s.hyperedges) == 1191
+    assert kept <= 16 * len(s.hyperedges)
+
+
+def test_fallback_sample_builds_no_tuple_list():
+    """A fallback sample lists all T triangles straight into the column:
+    it keeps at most 16 bytes per triangle, and its peak, forward rows
+    included, stays below 24, where a list of tuples alone takes ~72."""
+    g = gnp_random_graph(60, 0.8, 2)
+    info = degeneracy_order(g)
+    s, kept, peak = traced_bytes(lambda: sample_hypergraph(g, info, SamplerConfig(epsilon=0.5)))
+    assert s.fell_back_to_exact and len(s.hyperedges) == compute_supports(g).triangle_count
+    assert kept <= 16 * len(s.hyperedges)
+    assert peak <= 24 * len(s.hyperedges)
+
+
+def test_marker_pass_keeps_at_most_16_bytes_per_hyperedge():
+    """The working hyperedges one marker pass keeps are one flat column."""
+    working = disjoint_union(blowup(complete_graph(5), 6).materialize(), complete_graph(3))
+    rounds = sampling._MarkerRounds(working)
+    kept, retained, _ = traced_bytes(lambda: rounds.marker_pass(2, 0.9, random.Random(0))[0])
+    assert len(kept) > 1000
+    assert retained <= 16 * len(kept)
 
 
 def test_triangle_free_gives_empty_hyperedges():

@@ -98,6 +98,15 @@ def test_supports_copy_no_neighbor_map():
     assert peak < 40 * g.m
 
 
+def test_listing_holds_at_most_16_bytes_per_triangle():
+    """The listing is one flat column of 4-byte ids; a list of tuples held
+    ~72 bytes per triangle (tracemalloc)."""
+    g = gnp_random_graph(60, 0.8, 2)
+    listed, kept, _ = traced_bytes(lambda: list_triangles(g))
+    assert len(listed) == compute_supports(g).triangle_count > 10_000
+    assert kept <= 16 * len(listed)
+
+
 def test_list_k4():
     assert len(list_triangles(complete_graph(4))) == 4
 
