@@ -24,7 +24,7 @@ from .gadgets import augmented_sizes, blowup, complete_graph, disjoint_union
 from .graph import BucketQueue, Graph, build_graph, degeneracy_order
 from .sampling import HypergraphSample, SamplerConfig, _doubling, _MarkerRounds, fallback_certain
 from .triangles import Triples, compute_supports, forward_rows
-from .truss import suffix_support_profile, truss_decomposition
+from .truss import _trussness_from_supports, suffix_support_profile, truss_decomposition
 
 
 @dataclass(frozen=True)
@@ -167,11 +167,11 @@ class EstimateResult:
     trace records each marker round as (x, test outcome); when every round's
     order came from the exact-enumeration fallback, the whole run was
     deterministic and seed-independent.  Rounds whose fallback is certain
-    are decided in closed form from one exact decomposition of the input,
-    with the outcome an exact peel of the augmented graph would give.  A
-    sampled round's outcome is the marker test on its sample's peel, read
-    off a core test of the sample's working part (``_marker_hit``); that
-    peel is never run.
+    are decided in closed form from one trussness peel and one supports
+    count of the input, with the outcome an exact peel of the augmented
+    graph would give.  A sampled round's outcome is the marker test on its
+    sample's peel, read off a core test of the sample's working part
+    (``_marker_hit``); that peel is never run.
     """
 
     estimate: Fraction
@@ -263,11 +263,13 @@ def estimate_trussness(
     returned value is certified exact.
 
     Which rounds can sample follows from closed-form facts.  For an input
-    with n nodes, m edges, T triangles, trussness t and degeneracy d, G has
-    6n+3 nodes, 36m+3 edges, 216T+1 triangles, trussness max(6t, 1) and
-    degeneracy max(6d, 2) (a q-fold blow-up scales degeneracy by q).  Each
-    of the ``spurious_clique_budget`` marker cliques of round x adds x+2
-    nodes, C(x+2,2) edges and C(x+2,3) triangles (``augmented_sizes``).
+    with n nodes, m edges, T triangles, trussness t and degeneracy d (t from
+    one trussness peel and T from one supports count of the input, no peel
+    order needed), G has 6n+3 nodes, 36m+3 edges, 216T+1 triangles,
+    trussness max(6t, 1) and degeneracy max(6d, 2) (a q-fold blow-up scales
+    degeneracy by q).  Each of the ``spurious_clique_budget`` marker
+    cliques of round x adds x+2 nodes, C(x+2,2) edges and C(x+2,3)
+    triangles (``augmented_sizes``).
     When ``fallback_certain`` holds for these sizes, the round's order is the
     exact peel, on which the marker test hits iff x < t(G): a (support, id)
     peel removes every edge of G with trussness <= x before the first marker
@@ -292,11 +294,11 @@ def estimate_trussness(
     growth = 1 + (eps_exact if pseudocode_growth else eps_prime)
     eps_prime_float = float(eps_prime)
 
-    decomp, order = truss_decomposition(g_in)
-    t_in = decomp.trussness
+    supports = compute_supports(g_in)
+    t_in = _trussness_from_supports(g_in, supports).trussness
     n_w = 6 * g_in.n + 3
     m_w = 36 * g_in.m + 3
-    tri_w = 216 * sum(order.forward_support) + 1
+    tri_w = 216 * supports.triangle_count + 1
     t_w = max(6 * t_in, 1)
     d_w = max(6 * degeneracy_order(g_in).degeneracy, 2)
     x_cap = min(2 * d_w + 2, math.ceil(2 * math.sqrt(m_w)))

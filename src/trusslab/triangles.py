@@ -56,8 +56,23 @@ class Triples(Sequence):
     def __len__(self) -> int:
         return len(self.ids) // 3
 
-    def __getitem__(self, i: int) -> tuple[int, int, int]:
-        start = 3 * range(len(self))[i]
+    def __getitem__(self, i: int | slice) -> tuple[int, int, int] | Triples:
+        """Triple i as a tuple; a slice gives a ``Triples``, over a slice of
+        the column when its step is 1."""
+        rows = range(len(self))
+        if isinstance(i, slice):
+            rows = rows[i]
+            if rows.step == 1:
+                return Triples(self.ids[3 * rows.start:3 * rows.stop])
+            return Triples.of([self[j] for j in rows])
+        try:
+            start = 3 * rows[i]
+        except IndexError:
+            raise IndexError("Triples index out of range") from None
+        except TypeError:
+            raise TypeError(
+                f"Triples indices must be integers or slices, not {type(i).__name__}"
+            ) from None
         return tuple(self.ids[start:start + 3])
 
     def __iter__(self) -> Iterator[tuple[int, int, int]]:

@@ -1,5 +1,11 @@
 """Exact truss decomposition by min-support peeling, truss-order validation,
-and recovery of the decomposition from any truss-order oracle."""
+and recovery of the decomposition from any truss-order oracle.
+
+Two peels give the same t(e).  ``edge_trussness``, for callers that read
+only t(e) or the trussness, peels level by level with no queue and no
+tie-break; ``truss_decomposition`` pops by (support, id) from a bucket
+queue and returns that order as well, for callers that read it.
+"""
 
 from __future__ import annotations
 
@@ -55,6 +61,18 @@ def _closing_edge_ids(near: dict[int, int], far: dict[int, int]) -> list[int]:
     return ids
 
 
+def _triangle_maps(g: Graph, support: list[int]) -> list[dict[int, int]]:
+    """A peel's own copy of each node's neighbor -> edge-id map, holding only
+    the edges of positive ``support``; the nodes on no triangle share one
+    empty map, which no pop reaches."""
+    in_triangle = support.__getitem__
+    none: dict[int, int] = {}
+    return [
+        dict(compress(nbrs.items(), map(in_triangle, nbrs.values()))) or none
+        for nbrs in map(g.neighbors, range(g.n))
+    ]
+
+
 def _peel_from_supports(g: Graph, supports: SupportTable) -> tuple[TrussDecomposition, EdgeOrder]:
     """Min-support peel from precomputed supports.
 
@@ -69,12 +87,7 @@ def _peel_from_supports(g: Graph, supports: SupportTable) -> tuple[TrussDecompos
     m = g.m
     support = supports.support
     queue = BucketQueue(support)
-    in_triangle = support.__getitem__
-    none: dict[int, int] = {}  # shared by the nodes on no triangle: no pop reaches them
-    adj = [
-        dict(compress(nbrs.items(), map(in_triangle, nbrs.values()))) or none
-        for nbrs in map(g.neighbors, range(g.n))
-    ]
+    adj = _triangle_maps(g, support)
     pair = g.pair
     t = [0] * m
     order: list[int] = []
@@ -98,6 +111,60 @@ def _peel_from_supports(g: Graph, supports: SupportTable) -> tuple[TrussDecompos
     return TrussDecomposition(t, level), EdgeOrder(order, fwd)
 
 
+def _trussness_from_supports(g: Graph, supports: SupportTable) -> TrussDecomposition:
+    """Per-edge trussness from precomputed supports by a level-synchronous
+    peel (Kabir & Madduri's PKT), with no queue and no pop order.
+
+    t(e) does not depend on which edge of equal support leaves first, so
+    level k pops its edges in any order: every live edge of support k goes
+    on a stack, and each pop leaves both endpoint maps (``_triangle_maps``)
+    and walks the smaller one.  A closing
+    edge of support above k is decremented; if it reaches k it joins the
+    stack, and otherwise it is appended to the list of its new level, where
+    entries whose support has moved on by the time that level starts are
+    dropped.  Edges of support 0 keep t = 0 and are never popped or probed,
+    and no support falls below 1, so the supports left when the peel ends
+    are the trussness values.  The supports passed in are not changed.
+    """
+    sup = supports.support[:]
+    adj = _triangle_maps(g, sup)
+    pair = g.pair
+    levels: list[list[int]] = [[] for _ in range(max(sup, default=0) + 1)]
+    for eid, s in enumerate(sup):
+        if s:
+            levels[s].append(eid)
+    for k in range(1, len(levels)):
+        stack = [eid for eid in levels[k] if sup[eid] == k]
+        levels[k] = []  # read once
+        while stack:
+            u, v = pair(stack.pop())
+            near = adj[u]
+            far = adj[v]
+            del near[v]
+            del far[u]
+            for e in _closing_edge_ids(near, far):
+                s = sup[e]
+                if s > k:
+                    s -= 1
+                    sup[e] = s
+                    if s == k:
+                        stack.append(e)
+                    else:
+                        levels[s].append(e)
+    return TrussDecomposition(sup, max(sup, default=0))
+
+
+def edge_trussness(g: Graph) -> TrussDecomposition:
+    """Exact trussness of every edge, without a peel order.
+
+    The values ``truss_decomposition`` gives, by the level-synchronous peel
+    of ``_trussness_from_supports``: for callers that read only t(e) or the
+    graph trussness, it skips the queue and the (support, id) tie-breaks
+    that the order needs.
+    """
+    return _trussness_from_supports(g, compute_supports(g))
+
+
 def truss_decomposition(g: Graph) -> tuple[TrussDecomposition, EdgeOrder]:
     """Exact trussness of every edge, plus the peeling order that proves it.
 
@@ -109,7 +176,7 @@ def truss_decomposition(g: Graph) -> tuple[TrussDecomposition, EdgeOrder]:
 
 
 def trussness(g: Graph) -> int:
-    return truss_decomposition(g)[0].trussness
+    return edge_trussness(g).trussness
 
 
 def max_truss_subgraph(g: Graph, k: int) -> set[int]:
@@ -120,8 +187,7 @@ def max_truss_subgraph(g: Graph, k: int) -> set[int]:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    decomp, _ = truss_decomposition(g)
-    return {eid for eid, t in enumerate(decomp.edge_trussness) if t >= k}
+    return {eid for eid, t in enumerate(edge_trussness(g).edge_trussness) if t >= k}
 
 
 def suffix_support_profile(g: Graph, order: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -196,7 +262,7 @@ def decomposition_from_order(g: Graph, oracle: OrderOracle) -> TrussDecompositio
 
     d = degeneracy_order(g).degeneracy
     ladder = ladder_gadget(2 * d + 2)
-    ladder_t = truss_decomposition(ladder)[0].edge_trussness
+    ladder_t = edge_trussness(ladder).edge_trussness
     achieved = set(ladder_t)
     missing = set(range(2 * d + 2)) - achieved
     if missing:

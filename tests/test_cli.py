@@ -671,6 +671,7 @@ def test_bench_timed_rows(tmp_path, capsys):
 
 
 def test_bench_exact_computes_supports_once_per_graph(tmp_path, capsys, monkeypatch):
+    import trusslab.cli as cli
     import trusslab.truss as truss
 
     d = tmp_path / "corpus"
@@ -683,8 +684,11 @@ def test_bench_exact_computes_supports_once_per_graph(tmp_path, capsys, monkeypa
         calls.append(g.m)
         return real(g)
 
-    # The bench's exact cell reaches the supports through truss_decomposition.
-    monkeypatch.setattr(truss, "compute_supports", counting)
+    # The bench's exact cell counts the supports itself, for its triangle
+    # count, and peels from them; a peel that counted them again is caught
+    # through the truss module's binding.
+    for module in (cli, truss):
+        monkeypatch.setattr(module, "compute_supports", counting)
     code, out, _ = run_cli(capsys, "bench", "--corpus", str(d), "--estimators", "exact")
     assert code == 0
     assert calls == [10]
@@ -761,3 +765,45 @@ def test_bench_bad_estimator_list_is_usage_error(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert f"argument --estimators: {message}" in err
+
+
+def test_trussness_readers_run_without_the_ordered_peel(tmp_path, capsys, monkeypatch):
+    """Callers that read only t(e) or the trussness never reach the
+    (support, id) peel; the callers that read its order still do."""
+    import trusslab.approx as approx
+    import trusslab.truss as truss
+    from trusslab.sampling import SamplerConfig, gnp_random_graph
+
+    real = truss._peel_from_supports
+    g = gnp_random_graph(9, 0.6, 4)
+    path = write_graph(tmp_path, "g.edges", edge_list_text(g))
+    want = real(g, trusslab.compute_supports(g))[0]
+
+    def forbidden(*args):
+        raise AssertionError("ordered peel reached")
+
+    monkeypatch.setattr(truss, "_peel_from_supports", forbidden)
+    assert run_cli(capsys, "truss", "exact", path)[:2] == (0, f"{want.trussness}\n")
+    code, out, _ = run_cli(capsys, "truss", "decompose", path)
+    assert code == 0 and [int(line.split()[2]) for line in out.splitlines()] == want.edge_trussness
+    assert run_cli(capsys, "gadget", "ladder", "-x", "5")[0] == 0
+    code, out, _ = run_cli(capsys, "bench", "--corpus", str(tmp_path), "--estimators", "exact")
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert code == 0 and row["exact_trussness"] == str(want.trussness)
+    assert row["triangles"] == str(trusslab.compute_supports(g).triangle_count)
+    assert truss.trussness(g) == want.trussness
+    assert truss.max_truss_subgraph(g, 2) == {e for e, t in enumerate(want.edge_trussness) if t >= 2}
+    result = approx.estimate_trussness(g, 0.5, zeta=110.0, seed=1)
+    assert result.exact and result.estimate == want.trussness
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0].m)
+        return real(*args)
+
+    monkeypatch.setattr(truss, "_peel_from_supports", counting)
+    assert run_cli(capsys, "order", "--edges", path)[0] == 0
+    assert calls == [g.m]
+    order = approx.approx_truss_order(g, SamplerConfig(0.5, 110.0, 0))
+    assert order.fell_back_to_exact and calls == [g.m, g.m]

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from itertools import chain
 
+import pytest
 from hypothesis import given, settings
 
 import oracles
@@ -11,7 +12,7 @@ from test_truss import _hub_graph
 from trusslab.gadgets import bipartite_apex, blowup, complete_graph
 from trusslab.graph import build_graph, degeneracy_order
 from trusslab.sampling import _skip_pass, gnp_random_graph
-from trusslab.triangles import compute_supports, forward_rows, list_triangles
+from trusslab.triangles import Triples, compute_supports, forward_rows, list_triangles
 
 
 def test_supports_k3():
@@ -105,6 +106,29 @@ def test_listing_holds_at_most_16_bytes_per_triangle():
     listed, kept, _ = traced_bytes(lambda: list_triangles(g))
     assert len(listed) == compute_supports(g).triangle_count > 10_000
     assert kept <= 16 * len(listed)
+
+
+def test_triples_slices_are_triples():
+    rows = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)]
+    triples = Triples.of(rows)
+    assert Triples.of([(0, 1, 2)])[0:1] == [(0, 1, 2)]
+    for cut in (slice(0, 1), slice(1, None), slice(-3, -1), slice(3, 1), slice(None, None, 2),
+                slice(None, None, -1), slice(5, 9)):
+        part = triples[cut]
+        assert isinstance(part, Triples) and part == rows[cut], cut
+    assert triples[1:3].ids.tolist() == [3, 4, 5, 6, 7, 8]
+    assert triples[-1] == (9, 10, 11)
+
+
+@pytest.mark.parametrize("index, error, message", [
+    (5, IndexError, "Triples index out of range"),
+    (-2, IndexError, "Triples index out of range"),
+    ("0", TypeError, "Triples indices must be integers or slices, not str"),
+])
+def test_triples_index_errors_name_triples(index, error, message):
+    with pytest.raises(error) as raised:
+        Triples.of([(0, 1, 2)])[index]
+    assert str(raised.value) == message
 
 
 def test_list_k4():

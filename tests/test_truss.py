@@ -7,13 +7,22 @@ from hypothesis import given, settings
 import oracles
 from conftest import FIGURE_LEFT_TRUSSNESS, traced_bytes
 from test_graph import small_graphs
-from trusslab.gadgets import bipartite_apex, blowup, complete_graph, ladder_gadget
-from trusslab.graph import build_graph, degeneracy_order
+from trusslab.gadgets import (
+    add_spurious_cliques,
+    bipartite_apex,
+    blowup,
+    complete_graph,
+    ladder_gadget,
+)
+from trusslab.graph import Graph, build_graph, degeneracy_order
 from trusslab.sampling import gnp_random_graph
 from trusslab.triangles import compute_supports
 from trusslab.truss import (
+    TrussDecomposition,
     _peel_from_supports,
+    _trussness_from_supports,
     decomposition_from_order,
+    edge_trussness,
     is_exact_truss_order,
     max_truss_subgraph,
     suffix_support_profile,
@@ -258,6 +267,97 @@ def test_peel_copies_no_support_zero_edge():
     supports = compute_supports(g)
     _, _, peak = traced_bytes(lambda: _peel_from_supports(g, supports))
     assert peak < 200 * g.m
+
+
+# ------------------------------------------------- trussness-only peel ----
+
+
+def test_edge_trussness_matches_ordered_peel_on_seeded_cells():
+    """The level-synchronous peel against the (support, id) peel's t(e) on
+    320 seeded G(n, p) cells, sparse to dense, ids shuffled in every other."""
+    cells = 0
+    for i in range(320):
+        g = gnp_random_graph(5 + i % 31, (0.1, 0.25, 0.45, 0.7, 0.9)[i % 5], 1700 + i)
+        if i % 2:
+            pairs = list(g.edges())
+            random.Random(i).shuffle(pairs)
+            g = build_graph(pairs)
+        assert edge_trussness(g) == truss_decomposition(g)[0], i
+        cells += g.m > 0
+    assert cells > 300
+
+
+@settings(max_examples=60)
+@given(small_graphs(max_nodes=9))
+def test_edge_trussness_matches_ordered_peel(g):
+    assert edge_trussness(g) == truss_decomposition(g)[0]
+
+
+def _gadget_graphs():
+    graphs = [ladder_gadget(x) for x in range(2, 9)]
+    graphs += [bipartite_apex(side) for side in range(1, 8)]
+    graphs.append(blowup(complete_graph(4), 3).materialize())
+    graphs += [add_spurious_cliques(g, x).graph
+               for g, x in ((gnp_random_graph(12, 0.5, 3), 2), (ladder_gadget(5), 3))]
+    graphs += [complete_graph(3), build_graph([]), build_graph([(0, 1), (1, 2), (2, 3), (3, 0)])]
+    return graphs
+
+
+def test_edge_trussness_matches_ordered_peel_on_gadgets():
+    for i, g in enumerate(_gadget_graphs()):
+        assert edge_trussness(g) == truss_decomposition(g)[0], i
+    assert edge_trussness(complete_graph(3)) == TrussDecomposition([1, 1, 1], 1)
+    assert edge_trussness(build_graph([])) == TrussDecomposition([], 0)
+    assert edge_trussness(build_graph([(0, 1), (1, 2), (2, 0), (2, 3)])).trussness == 1
+
+
+class _PairSpy(Graph):
+    """The same graph, recording each edge id whose endpoints are read."""
+
+    def __init__(self, g: Graph):
+        super().__init__(g.n, g._adj, g._us, g._vs)
+        self.read: list[int] = []
+
+    def pair(self, eid):
+        self.read.append(eid)
+        return super().pair(eid)
+
+
+def test_trussness_peel_pops_and_probes_no_support_zero_edge(monkeypatch):
+    """Every edge of positive support is popped once, by reading its
+    endpoints, and no edge of support 0 is popped or seen in a walked map;
+    on graphs where support 0 is common, against the ordered peel."""
+    import trusslab.truss
+
+    real = trusslab.truss._closing_edge_ids
+    walked: list[int] = []
+
+    def spy(near, far):
+        walked.extend(near.values())
+        walked.extend(far.values())
+        return real(near, far)
+
+    monkeypatch.setattr(trusslab.truss, "_closing_edge_ids", spy)
+    zeros = 0
+    for i, g in enumerate(_zero_support_graphs()):
+        supports = compute_supports(g)
+        spied = _PairSpy(g)
+        walked.clear()
+        decomp = _trussness_from_supports(spied, supports)
+        assert decomp == _peel_from_supports(g, supports)[0], i
+        positive = [eid for eid, s in enumerate(supports.support) if s]
+        assert sorted(spied.read) == positive, i
+        assert all(supports.support[eid] for eid in walked), i
+        zeros += g.m - len(positive)
+    assert zeros > 1000
+
+
+def test_trussness_peel_leaves_its_supports_unchanged():
+    g = ladder_gadget(6)
+    supports = compute_supports(g)
+    before = list(supports.support)
+    _trussness_from_supports(g, supports)
+    assert supports.support == before
 
 
 @settings(max_examples=60)
