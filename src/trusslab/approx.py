@@ -1,12 +1,13 @@
 """Approximate trussness estimation.
 
-Two estimators live here.  The randomized one peels a sampled triangle
-hypergraph to get an approximate truss order, then brackets the trussness by
+Two estimators live here.  The randomized one brackets the trussness by
 planting disjoint marker cliques of known trussness x and watching where
-their edges land in the order while x grows geometrically.  The combinatorial
-one repeatedly discards edges whose support falls below a multiple of the
-current triangle density; the best density seen is within a factor 3+eps of
-the trussness, deterministically.
+their edges land in the approximate truss order of a sampled triangle
+hypergraph while x grows geometrically; it reads that from a core test of
+the sample, without peeling it.  The combinatorial one repeatedly discards
+edges whose support falls below a multiple of the current triangle density;
+the best density seen is within a factor 3+eps of the trussness,
+deterministically.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ from typing import Iterable, Sequence, Sized
 
 from . import gadgets, graph
 from .gadgets import augmented_sizes, blowup, complete_graph, disjoint_union
-from .graph import BucketQueue, Graph, build_graph, degeneracy_order
-from .sampling import HypergraphSample, SamplerConfig, _doubling, _MarkerRounds, fallback_certain
+from .graph import BucketQueue, Graph, build_graph, degeneracy_order, forward_wedge_count
+from .sampling import (
+    _NO_BLOCK, HypergraphSample, SamplerConfig, _doubling, _MarkerRounds, fallback_certain,
+)
 from .triangles import Triples, compute_supports, forward_rows
 from .truss import _trussness_from_supports, suffix_support_profile, truss_decomposition
 
@@ -107,11 +110,13 @@ def approx_truss_order(g: Graph, cfg: SamplerConfig) -> ApproxTrussOrder:
     """
     info = degeneracy_order(g)
     rows = list(forward_rows(g, info.order, info.positions))
-    found = _doubling(g, info, rows, cfg, random.Random(cfg.seed))
+    sizes = (g.n, g.m, forward_wedge_count(g, info))
+    found = _doubling(g, rows, sizes, _NO_BLOCK, cfg.epsilon, cfg.zeta, random.Random(cfg.seed))
     if found is None:
         exact = truss_decomposition(g)[1]
         return ApproxTrussOrder(exact.order, exact.forward_support, True, 1.0)
-    return hypergraph_degeneracy_order(HypergraphSample(g.m, *found, False, cfg.seed))
+    kept, _, p = found
+    return hypergraph_degeneracy_order(HypergraphSample(g.m, kept, p, False, cfg.seed))
 
 
 def approx_order_holds(g: Graph, order: Sequence[int], epsilon: float) -> bool:
@@ -121,8 +126,11 @@ def approx_order_holds(g: Graph, order: Sequence[int], epsilon: float) -> bool:
     max(T/m, (1+eps) * minimum residual support of its suffix), with T and m
     taken from the graph the order was computed on.  T is the sum of the
     forward supports, since each triangle counts once, at its first edge
-    in the order (``EdgeOrder``).
+    in the order (``EdgeOrder``).  A negative or non-finite epsilon raises
+    ValueError.
     """
+    if not (0.0 <= epsilon < math.inf):
+        raise ValueError(f"epsilon must be finite and non-negative, got {epsilon}")
     if g.m == 0:
         return True
     fwd, min_sup = suffix_support_profile(g, order)
@@ -169,7 +177,9 @@ class EstimateResult:
     deterministic and seed-independent.  Rounds whose fallback is certain
     are decided in closed form from one trussness peel and one supports
     count of the input, with the outcome an exact peel of the augmented
-    graph would give.  A sampled round's outcome is the marker test on its
+    graph would give.  A sampled round draws its sample with the skip pass
+    and doubling loop of ``sample_hypergraph``, the cliques given as a block
+    of the working graph's rows, and its outcome is the marker test on that
     sample's peel, read off a core test of the sample's working part
     (``_marker_hit``); that peel is never run.
     """
@@ -190,17 +200,23 @@ def _round_order(
 ) -> tuple[bool | None, bool]:
     """One marker round on the random path: (hit, fell_back).
 
-    Samples the working graph plus round x's marker cliques
-    (``_MarkerRounds.sample``) and returns the marker test's outcome on
-    the peel of that sample (``_marker_hit`` on its working part's
-    hyperedges and marker-edge degrees).  When the doubling loop reaches
-    p = 1 the round falls back and hit is None: the exact order's marker
-    outcome is known in closed form, so no pass at p = 1 runs.
+    Samples the working graph plus round x's marker cliques with the
+    doubling loop (``_doubling``) of ``sample_hypergraph``, over the
+    augmented graph's sizes (``augmented_sizes``) and with the cliques as
+    a block of the working graph's rows (``_MarkerRounds.block``), and
+    returns the marker test's outcome on the peel of that sample
+    (``_marker_hit`` on its working part's hyperedges and marker-edge
+    degrees).  When the doubling loop reaches p = 1 the round falls back
+    and hit is None: the exact order's marker outcome is known in closed
+    form, so no pass at p = 1 runs.
     """
-    found = rounds.sample(x, eps, zeta, seed)
+    g = rounds.graph
+    sizes = augmented_sizes(g.n, g.m, rounds.wedges, x)
+    found = _doubling(g, rounds.rows, sizes, rounds.block(x), eps, zeta, random.Random(seed))
     if found is None:
         return None, True
-    return _marker_hit(rounds.graph.m, *found), False
+    kept, marks, _ = found
+    return _marker_hit(g.m, kept, marks), False
 
 
 def _marker_hit(m: int, kept: Sequence[tuple[int, int, int]], marks: Sequence[int]) -> bool:
@@ -279,10 +295,11 @@ def estimate_trussness(
     (``_working_graph``).  Its degeneracy order, forward rows and W are then
     computed once (``_MarkerRounds``), and no round builds an augmented
     graph: the cliques' part of the order and their wedges follow in closed
-    form.  A round whose doubling reaches p = 1 takes the same closed-form
-    outcome without a pass at p = 1.  Seeds, samples and outcomes are those
-    of sampling each materialised augmented graph.  ``zeta`` and ``seed``
-    are the samplers' (see ``SamplerConfig``).
+    form, and each pass walks them as a block of G's rows
+    (``_skip_pass``).  A round whose doubling reaches p = 1 takes the same
+    closed-form outcome without a pass at p = 1.  Seeds, samples and
+    outcomes are those of sampling each materialised augmented graph.
+    ``zeta`` and ``seed`` are the samplers' (see ``SamplerConfig``).
 
     ``pseudocode_growth`` grows x by (1 + epsilon) per round instead of
     (1 + eps'); coarser, but cheaper on high-trussness inputs.

@@ -116,7 +116,11 @@ def build_graph(edges: Iterable[tuple[int, int]], node_count: int | None = None)
 
 
 class BucketQueue:
-    """Monotone bucket min-queue used by every peeling in this package.
+    """Monotone bucket min-queue of the peels that fix a pop order.
+
+    ``degeneracy_order``, the ordered truss peel (``_peel_from_supports``)
+    and the hypergraph peel pop from it; the level-synchronous trussness
+    peel and the marker rounds' core test use no queue.
 
     Keys are small non-negative integers that only move down, one unit per
     occurrence of an item in a batch passed to ``decrease``; a peel hands

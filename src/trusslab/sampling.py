@@ -6,9 +6,12 @@ so hypergraph peeling mirrors truss peeling.  Rather than scanning all W
 forward wedges to Bernoulli-sample the triangles, the sampler jumps between
 accepted wedges with geometric skips, paying only for what it keeps, and
 doubles the acceptance probability until the sample is large enough to rank
-edge supports reliably.  The estimator's marker rounds sample one working
-graph plus disjoint cliques without building their union: the cliques'
-wedges are all closed, and their edge ids are arithmetic.
+edge supports reliably.  One pass (``_skip_pass``) and one doubling loop
+(``_doubling``) serve every wedge space: a marker round of the estimator
+samples one working graph plus disjoint cliques with the same pass, given
+the cliques as a block of rows among the graph's, without building their
+union: the cliques' wedges are all closed, and their edge ids are
+arithmetic.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, NamedTuple, Sequence
 
-from .gadgets import augmented_sizes, spurious_clique_budget
+from .gadgets import spurious_clique_budget
 from .graph import DegeneracyInfo, Graph, build_graph, degeneracy_order, forward_wedge_count
 from .triangles import ForwardRow, Triples, forward_rows, list_triangles
 
@@ -65,8 +68,6 @@ class HypergraphSample:
     fell_back_to_exact: bool
     rng_seed: int
 
-
-T = TypeVar("T")
 
 # ln of the least positive value ``random.Random.random`` returns
 _LN_LEAST_U = math.log(2.0**-53)
@@ -187,22 +188,60 @@ def _walk(
     return gap
 
 
-def _skip_pass(g: Graph, rows: list[ForwardRow], p: float, rng: random.Random) -> Triples:
-    """The closed wedges among those a geometric skip sequence selects.
+class _Block(NamedTuple):
+    """Marker cliques that a pass walks among g's forward rows: ``count``
+    disjoint K_size on node ids n.. and edge ids m.., whose rows
+    (``_clique_rows``) sit just before g's row ``split``.  A plain pass
+    has none (``_NO_BLOCK``; its size only keeps C(size, 3) positive)."""
+
+    split: int
+    count: int
+    size: int
+
+
+_NO_BLOCK = _Block(0, 0, 3)
+
+
+def _skip_pass(
+    g: Graph, rows: list[ForwardRow], p: float, rng: random.Random,
+    block: _Block = _NO_BLOCK, marks: list[int] | None = None,
+) -> Triples:
+    """The closed wedges of g among those a geometric skip sequence selects.
 
     ``rows`` are g's forward rows (``forward_rows``) in degeneracy order,
-    walked by ``_walk``, so each pass costs O(n + rows + probes).  A wedge
-    is a pair of edges, so a first skip past m(m-1)/2 >= W walks no row.
-    At p = 1 every wedge is probed and nothing is drawn: the pass is
-    ``list_triangles(g, rows)``, every closed wedge in probe order.
+    walked by ``_walk``, so each pass costs O(n + rows + probes).  The
+    pass walks g's rows before ``block.split``, then the block's
+    count * C(size, 3) clique wedges, all closed, then g's remaining rows,
+    so it probes and draws as a pass over the materialised union of g and
+    the cliques would.  It keeps g's closed wedges and adds each marker
+    edge's sampled degree to ``marks`` (count * C(size, 2) zeros on entry,
+    indexed by edge id - m).  Whole cliques that no probe lands in are
+    stepped over in one division.  A wedge is a pair of edges, so a first
+    skip past M(M-1)/2 >= W, M counting the block's edges too, walks no
+    row.  At p = 1 every wedge is probed and nothing is drawn: the pass is
+    ``list_triangles(g, rows)``, every closed wedge in probe order; a block
+    needs p < 1, as the doubling loop walks only below 1.
     """
     if p == 1.0:
         return list_triangles(g, rows)
     out = Triples()
+    split, count, size = block
+    pairs, per = math.comb(size, 2), math.comb(size, 3)
+    edges = g.m + count * pairs
     gap = geometric_skip(p, rng) - 1
-    if gap >= g.m * (g.m - 1) // 2:
+    if gap >= edges * (edges - 1) // 2:
         return out
-    _walk(rows, list(map(g.neighbors, range(g.n))), gap, rng.random, math.log1p(-p), out.ids)
+    draw, lq = rng.random, math.log1p(-p)
+    links = list(map(g.neighbors, range(g.n)))
+    gap = _walk(rows[:split], links, gap, draw, lq, out.ids)
+    crows, clinks = _clique_rows(size)
+    c, gap = divmod(gap, per)
+    while c < count:
+        gap = _walk(crows, clinks, gap, draw, lq, marks, c * pairs)
+        over, gap = divmod(gap, per)
+        c += 1 + over
+    gap += (c - count) * per
+    _walk(rows[split:], links, gap, draw, lq, out.ids)
     return out
 
 
@@ -224,28 +263,28 @@ def _probe_count(wedges: int, p: float, rng: random.Random, stop: int) -> int:
     return stop
 
 
-def _double(
-    n: int,
-    m: int,
-    wedges: int,
-    epsilon: float,
-    zeta: float,
-    rng: random.Random,
-    walk: Callable[[float], tuple[T, int]],
-) -> tuple[T, float] | None:
-    """The probability-doubling loop over one wedge space.
+def _doubling(
+    g: Graph, rows: list[ForwardRow], sizes: tuple[int, int, int], block: _Block,
+    epsilon: float, zeta: float, rng: random.Random,
+) -> tuple[Triples, list[int], float] | None:
+    """The probability-doubling loop over the wedge space of g's forward
+    ``rows`` plus ``block``, whose n, m and forward wedge count W are
+    ``sizes``.
 
-    Starts from p = zeta * m * log(m) / (W * eps^2) and runs one pass per p,
-    doubling p (and discarding the previous pass entirely) until a pass
-    keeps at least 1.5 * zeta * m * log(m) / eps^2 hyperedges; returns that
-    pass and its p, or None once p reaches 1.  ``walk(p)`` runs one pass
-    with ``rng`` and returns what it kept with its hyperedge count.  A pass
-    keeps at most one hyperedge per probe, so when p * W is below the
-    target its probes are counted first: fewer than the target fail the
-    pass with rng where the walk would leave it, and otherwise rng is
+    Starts from p = zeta * m * log(m) / (W * eps^2) and runs one pass
+    (``_skip_pass``) per p, doubling p (and discarding the previous pass
+    entirely) until a pass keeps at least 1.5 * zeta * m * log(m) / eps^2
+    hyperedges, g's and the block's; returns that pass's g hyperedges,
+    marker-edge degrees and p, or None once p reaches 1, at once if W = 0.
+    A pass keeps at most one hyperedge per probe, so when p * W is below
+    the target its probes are counted first: fewer than the target fail
+    the pass with rng where the walk would leave it, and otherwise rng is
     restored and the pass walks.  A zeta so small that the first p
     underflows to 0 raises ValueError.
     """
+    n, m, wedges = sizes
+    if wedges == 0:
+        return None
     eps = effective_epsilon(epsilon, n)
     p = initial_probability(m, wedges, eps, zeta)
     target = sample_size_target(m, eps, zeta)
@@ -254,6 +293,7 @@ def _double(
     if p >= 1.0:
         return None
     need = math.ceil(target)  # finite, since target = 1.5 * p * W
+    marker_edges = block.count * math.comb(block.size, 2)
     while p < 1.0:
         if p * wedges < target:
             state = rng.getstate()
@@ -261,10 +301,11 @@ def _double(
                 p *= 2.0
                 continue
             rng.setstate(state)
-        kept, size = walk(p)
-        if size >= need:
-            return kept, p
-        del kept  # freed before the next pass draws
+        marks = [0] * marker_edges
+        kept = _skip_pass(g, rows, p, rng, block, marks)
+        if len(kept) + sum(marks) // 3 >= need:
+            return kept, marks, p
+        del kept, marks  # freed before the next pass draws
         p *= 2.0
     return None
 
@@ -320,28 +361,12 @@ def sample_hypergraph(g: Graph, info: DegeneracyInfo, cfg: SamplerConfig) -> Hyp
     """
     rows = list(forward_rows(g, info.order, info.positions))
     rng = random.Random(cfg.seed)
-    found = _doubling(g, info, rows, cfg, rng)
+    sizes = (g.n, g.m, forward_wedge_count(g, info))
+    found = _doubling(g, rows, sizes, _NO_BLOCK, cfg.epsilon, cfg.zeta, rng)
     if found is None:
         return HypergraphSample(g.m, _skip_pass(g, rows, 1.0, rng), 1.0, True, cfg.seed)
-    return HypergraphSample(g.m, *found, False, cfg.seed)
-
-
-def _doubling(
-    g: Graph, info: DegeneracyInfo, rows: list[ForwardRow], cfg: SamplerConfig,
-    rng: random.Random,
-) -> tuple[Triples, float] | None:
-    """The doubling loop (``_double``) of ``sample_hypergraph`` over g's
-    forward ``rows``: the kept pass and its p, or None once p reaches 1,
-    at once if g has no wedge."""
-    W = forward_wedge_count(g, info)
-    if W == 0:
-        return None
-
-    def walk(p: float) -> tuple[Triples, int]:
-        sample = _skip_pass(g, rows, p, rng)
-        return sample, len(sample)
-
-    return _double(g.n, g.m, W, cfg.epsilon, cfg.zeta, rng, walk)
+    kept, _, p = found
+    return HypergraphSample(g.m, kept, p, False, cfg.seed)
 
 
 def _clique_rows(size: int) -> tuple[list[ForwardRow], list[int]]:
@@ -370,7 +395,8 @@ class _MarkerRounds:
     G, and the next clique follows.  So the augmented order is G's order
     with every clique inserted, nodes in id order, just before G's first
     pop whose key exceeds x+1 (``block_at``); G's rows are unchanged, and
-    the cliques' rows (``_clique_rows``) sit between them.
+    the cliques' rows (``_clique_rows``) sit between them.  Round x's
+    passes are ``_skip_pass`` over G's rows with the block ``block(x)``.
     """
 
     def __init__(self, g: Graph):
@@ -378,7 +404,6 @@ class _MarkerRounds:
         self.info = info = degeneracy_order(g)
         self.rows = list(forward_rows(g, info.order, info.positions))
         self.wedges = forward_wedge_count(g, info)
-        self._links = list(map(g.neighbors, range(g.n)))
         # the largest pop key up to each position of G's order
         self._key_max = list(accumulate(map(info.forward_degrees.__getitem__, info.order), max))
         self._row_at = [info.positions[u] for u, _, _ in self.rows]
@@ -387,52 +412,10 @@ class _MarkerRounds:
         """Position in G's order before which round x's cliques are inserted."""
         return bisect_right(self._key_max, x + 1)
 
-    def marker_pass(self, x: int, p: float, rng: random.Random) -> tuple[Triples, list[int]]:
-        """One skip pass of round x: the closed wedges of G it keeps, in one
-        flat column, and the sampled degree of each marker edge, indexed by
-        edge id - m.
-
-        Equals ``_skip_pass`` on the materialised augmented graph, with its
-        RNG draws: G's rows before the cliques, then count * C(x+2, 3)
-        clique wedges, all closed, then G's remaining rows.  Whole cliques
-        that no probe lands in are stepped over in one division.  Needs
-        0 < p < 1, as ``_double`` walks only below 1; a round that reaches
-        p = 1 falls back without a pass.
-        """
-        size = x + 2
-        count = spurious_clique_budget(self.graph.m, x)
-        pairs, per = math.comb(size, 2), math.comb(size, 3)
+    def block(self, x: int) -> _Block:
+        """Round x's cliques, as the block of G's forward rows they sit in."""
         split = bisect_left(self._row_at, self.block_at(x))
-        crows, clinks = _clique_rows(size)
-        draw, lq = rng.random, math.log1p(-p)
-        kept = Triples()
-        marks = [0] * (count * pairs)
-        gap = _walk(self.rows[:split], self._links, geometric_skip(p, rng) - 1, draw, lq,
-                    kept.ids)
-        c, gap = divmod(gap, per)
-        while c < count:
-            gap = _walk(crows, clinks, gap, draw, lq, marks, c * pairs)
-            over, gap = divmod(gap, per)
-            c += 1 + over
-        gap += (c - count) * per
-        _walk(self.rows[split:], self._links, gap, draw, lq, kept.ids)
-        return kept, marks
-
-    def sample(
-        self, x: int, epsilon: float, zeta: float, seed: int
-    ) -> tuple[Triples, list[int]] | None:
-        """Round x's doubling loop, as ``sample_hypergraph`` runs it on the
-        augmented graph with this seed: the kept pass's G hyperedges and
-        marker-edge degrees, or None if p reaches 1."""
-        g = self.graph
-        rng = random.Random(seed)
-
-        def walk(p: float) -> tuple[tuple[Triples, list[int]], int]:
-            kept, marks = self.marker_pass(x, p, rng)
-            return (kept, marks), len(kept) + sum(marks) // 3
-
-        found = _double(*augmented_sizes(g.n, g.m, self.wedges, x), epsilon, zeta, rng, walk)
-        return None if found is None else found[0]
+        return _Block(split, spurious_clique_budget(self.graph.m, x), x + 2)
 
 
 def gnp_random_graph(n: int, p: float, seed: int) -> Graph:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 import tracemalloc
 from typing import Callable, Sequence
 
@@ -18,7 +19,7 @@ from trusslab.gadgets import (
 )
 from trusslab.graph import Graph, build_graph
 from trusslab.io import write_edge_list
-from trusslab.sampling import gnp_random_graph
+from trusslab.sampling import _skip_pass, gnp_random_graph
 
 # Reference graph with a 4-clique nested in a larger triangle-connected
 # region nested in a 2-core: trussness 2, degeneracy 3.  Nodes 0-3 form the
@@ -72,6 +73,15 @@ def traced_bytes(call: Callable) -> tuple[object, int, int]:
         if not tracing:
             tracemalloc.stop()
     return result, current - before, peak - before
+
+
+def marker_pass(rounds, x: int, p: float, rng) -> tuple[object, list[int]]:
+    """One skip pass of marker round x (``_skip_pass`` with the round's
+    block): the working graph's kept hyperedges and the sampled degree of
+    each marker edge, indexed by edge id - m."""
+    block = rounds.block(x)
+    marks = [0] * (block.count * math.comb(block.size, 2))
+    return _skip_pass(rounds.graph, rounds.rows, p, rng, block, marks), marks
 
 
 def random_corpus(count: int, max_n: int, p_grid, base_seed: int):

@@ -12,6 +12,7 @@ from conftest import (
     edge_list_text,
     figure_left_graph,
     gadget_graphs,
+    marker_pass,
     traced_bytes,
 )
 from oracles import (
@@ -27,7 +28,7 @@ from test_cli import run_cli
 from test_graph import small_graphs
 from test_triangles import mask_rule_graphs
 from test_truss import _hub_graph
-from trusslab import approx
+from trusslab import approx, sampling
 from trusslab.approx import (
     _marker_hit,
     _round_order,
@@ -310,7 +311,7 @@ def test_marker_hit_is_the_core_test_of_the_kept_column():
         for x in (1, 2, 4, 7):
             for p in (0.001, 0.05, 0.3, 0.8):
                 for seed in range(3):
-                    kept, marks = rounds.marker_pass(x, p, random.Random(seed))
+                    kept, marks = marker_pass(rounds, x, p, random.Random(seed))
                     least = min(marks)
                     peel = hypergraph_degeneracy_order(HypergraphSample(g.m, kept, p, False, 0))
                     want = peel.degeneracy > least
@@ -543,6 +544,35 @@ def test_estimate_matches_materialised_reference(monkeypatch):
     assert sampled >= 10
     assert kinds[True] and kinds[False] and kinds["fell back"], kinds
     assert max(x for x, _ in got.trace) >= 45
+
+
+def test_every_sampled_round_passes_through_skip_pass(monkeypatch):
+    """Marker rounds sample with ``sampling._skip_pass``, the pass the bench
+    counts: seeded zeta = 0.001 estimates call it at least once per round
+    that does not fall back, and zeta = 110 estimates, whose rounds are all
+    decided in closed form, never call it."""
+    passes, rounds = [], []
+    skip_pass, round_order = sampling._skip_pass, approx._round_order
+
+    def counting_pass(*args):
+        passes.append(args[2])
+        return skip_pass(*args)
+
+    def counting_round(*args):
+        result = round_order(*args)
+        rounds.append(not result[1])
+        return result
+
+    monkeypatch.setattr(sampling, "_skip_pass", counting_pass)
+    monkeypatch.setattr(approx, "_round_order", counting_round)
+    for g in (complete_graph(4), gnp_random_graph(8, 0.5, 2)):
+        for seed in range(3):
+            del passes[:], rounds[:]
+            estimate_trussness(g, 0.5, zeta=0.001, seed=seed)
+            assert sum(rounds) >= 10 and len(passes) >= sum(rounds), (seed, rounds)
+            del passes[:], rounds[:]
+            estimate_trussness(g, 0.5, zeta=110.0, seed=seed)
+            assert passes == [] and rounds == []
 
 
 def test_cli_output_matches_materialised_reference(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """The input checks of the library's entry points, one table row each: the
 ValueError text a bad argument raises, or the value an edge case returns."""
 
+import math
 import re
 
 import pytest
@@ -9,9 +10,11 @@ from trusslab.approx import approx_order_holds
 from trusslab.gadgets import add_spurious_cliques, bipartite_apex, complete_graph, ladder_gadget
 from trusslab.graph import BucketQueue, build_graph
 from trusslab.sampling import gnp_random_graph
-from trusslab.truss import max_truss_subgraph, suffix_support_profile
+from trusslab.truss import max_truss_subgraph, suffix_support_profile, truss_decomposition
 
 K3 = complete_graph(3)
+K4 = complete_graph(4)
+K4_ORDER = truss_decomposition(K4)[1].order
 
 CHECKS = {
     "complete_graph(0)": (lambda: complete_graph(0), "complete_graph needs at least one node"),
@@ -26,6 +29,12 @@ CHECKS = {
     "suffix_support_profile(K3, [0, 0, 1])": (lambda: suffix_support_profile(K3, [0, 0, 1]),
                                               "order is not a permutation of the edge ids"),
     "BucketQueue([-1])": (lambda: BucketQueue([-1]), "bucket keys must be non-negative"),
+    # an exact truss order of K4 holds at every non-negative epsilon, 0 too
+    "approx_order_holds(K4, 0)": (lambda: approx_order_holds(K4, K4_ORDER, 0.0), True),
+    **{f"approx_order_holds(K4, {eps})": (
+        lambda eps=eps: approx_order_holds(K4, K4_ORDER, eps),
+        f"epsilon must be finite and non-negative, got {eps}")
+       for eps in (-0.5, math.nan, math.inf)},
     # an empty order holds on a graph without edges
     "approx_order_holds(empty)": (lambda: approx_order_holds(build_graph([]), [], 0.5), True),
 }

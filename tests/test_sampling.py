@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import traced_bytes
+from conftest import marker_pass, traced_bytes
 from trusslab import sampling
+from trusslab.approx import _round_order
 from trusslab.gadgets import (
     add_spurious_cliques,
     bipartite_apex,
@@ -227,9 +228,11 @@ class _Unwalkable(list):
 
 
 @pytest.mark.parametrize("p", [5e-324, 1e-300])
-def test_pass_past_every_wedge_walks_no_row(p):
+def test_pass_past_every_wedge_walks_no_row(p, monkeypatch):
     """At a p so small that the first skip passes all W wedges, the pass
-    returns without iterating the rows, with the reference's RNG state."""
+    returns without iterating the rows, with the reference's RNG state; a
+    marker round's pass, whose wedges include its cliques', walks neither
+    G's rows nor the cliques' and leaves every marker degree at 0."""
     g = complete_graph(8)
     rows = _rows(g)
     for seed in range(3):
@@ -237,6 +240,20 @@ def test_pass_past_every_wedge_walks_no_row(p):
         assert oracles.reference_skip_pass(g, rows, p, ref) == []
         assert _skip_pass(g, _Unwalkable(rows), p, rng) == []
         assert rng.getstate() == ref.getstate(), seed
+
+    def unwalked(*args):
+        raise AssertionError("the pass walked a stretch of rows")
+
+    monkeypatch.setattr(sampling, "_walk", unwalked)
+    for g in _working_graphs()[:2]:
+        rounds = sampling._MarkerRounds(g)
+        for x in (1, math.ceil(2 * math.sqrt(g.m))):
+            aug = add_spurious_cliques(g, x).graph
+            rng, ref = random.Random(x), random.Random(x)
+            assert oracles.reference_skip_pass(aug, _rows(aug), p, ref) == []
+            kept, marks = marker_pass(rounds, x, p, rng)
+            assert kept == [] and marks and not any(marks)
+            assert rng.getstate() == ref.getstate(), x
 
 
 def test_doubling_loop_matches_reference_pass(monkeypatch):
@@ -247,7 +264,8 @@ def test_doubling_loop_matches_reference_pass(monkeypatch):
     walks, counted = [], []
     probe_count = sampling._probe_count
 
-    def reference(g, rows, p, rng):
+    def reference(g, rows, p, rng, block=sampling._NO_BLOCK, marks=None):
+        assert block.count == 0 and not marks
         walks.append(p)
         return oracles.reference_skip_pass(g, rows, p, rng)
 
@@ -432,7 +450,7 @@ def test_marker_pass_matches_the_materialised_pass():
                 for seed in range(2):
                     rng, ref = random.Random(seed), random.Random(seed)
                     want = _skip_pass(aug, rows, p, ref)
-                    kept, marks = rounds.marker_pass(x, p, rng)
+                    kept, marks = marker_pass(rounds, x, p, rng)
                     assert all(spurious[a] == spurious[c] for a, _, c in want)
                     degree = Counter(e - g.m for h in want if spurious[h[0]] for e in h)
                     assert kept == [h for h in want if not spurious[h[0]]], (gi, x, p)
@@ -440,27 +458,28 @@ def test_marker_pass_matches_the_materialised_pass():
                     assert rng.getstate() == ref.getstate(), (gi, x, p, seed)
 
 
-def test_marker_rounds_walk_only_below_p1():
+def test_marker_rounds_walk_only_below_p1(monkeypatch):
     """A marker round whose doubling reaches p = 1 falls back without a pass
-    at p = 1: every p that ``sample`` hands to ``marker_pass`` is below 1,
+    at p = 1: every p that a round hands to ``_skip_pass`` is below 1,
     also in rounds that walk and then fall back."""
+    seen = []
+    skip_pass = sampling._skip_pass
+
+    def spy(g, rows, p, rng, block, marks):
+        assert block.count > 0
+        seen.append(p)
+        return skip_pass(g, rows, p, rng, block, marks)
+
+    monkeypatch.setattr(sampling, "_skip_pass", spy)
     walked_fallbacks = 0
     for g in _working_graphs()[1:5]:
         rounds = sampling._MarkerRounds(g)
-        seen = []
-        marker_pass = rounds.marker_pass
-
-        def spy(x, p, rng):
-            seen.append(p)
-            return marker_pass(x, p, rng)
-
-        rounds.marker_pass = spy
         for x in (1, 2, 3):
             for seed in range(5):
                 before = len(seen)
-                if rounds.sample(x, 0.5, 0.03, seed) is None and len(seen) > before:
+                if _round_order(rounds, x, 0.5, 0.03, seed)[1] and len(seen) > before:
                     walked_fallbacks += 1
-        assert all(0.0 < p < 1.0 for p in seen)
+    assert all(0.0 < p < 1.0 for p in seen)
     assert walked_fallbacks >= 10
 
 
@@ -477,7 +496,7 @@ def test_zero_draws_are_redrawn_in_the_marker_pass():
                 ref = _ZeroAt(x)
                 want = oracles.reference_skip_pass(aug, _rows(aug), p, ref)
                 rng = _ZeroAt(x)
-                kept, marks = rounds.marker_pass(x, p, rng)
+                kept, marks = marker_pass(rounds, x, p, rng)
                 degree = Counter(e - g.m for h in want if spurious[h[0]] for e in h)
                 assert kept == [h for h in want if not spurious[h[0]]], (gi, x, p)
                 assert marks == [degree[i] for i in range(aug.m - g.m)], (gi, x, p)
@@ -532,7 +551,7 @@ def test_marker_pass_keeps_at_most_16_bytes_per_hyperedge():
     """The working hyperedges one marker pass keeps are one flat column."""
     working = disjoint_union(blowup(complete_graph(5), 6).materialize(), complete_graph(3))
     rounds = sampling._MarkerRounds(working)
-    kept, retained, _ = traced_bytes(lambda: rounds.marker_pass(2, 0.9, random.Random(0))[0])
+    kept, retained, _ = traced_bytes(lambda: marker_pass(rounds, 2, 0.9, random.Random(0))[0])
     assert len(kept) > 1000
     assert retained <= 16 * len(kept)
 
