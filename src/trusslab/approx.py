@@ -17,7 +17,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress, count
 from typing import Iterable, Sequence, Sized
 
 from . import gadgets, graph
@@ -181,7 +181,9 @@ class EstimateResult:
     and doubling loop of ``sample_hypergraph``, the cliques given as a block
     of the working graph's rows, and its outcome is the marker test on that
     sample's peel, read off a core test of the sample's working part
-    (``_marker_hit``); that peel is never run.
+    (``_marker_hit``); that peel is never run.  Every sampled round shares
+    one working graph, built by a single ``build_graph`` pass over the
+    blow-up's edges and K3's, and only when some round samples.
     """
 
     estimate: Fraction
@@ -292,13 +294,16 @@ def estimate_trussness(
     edge, whose support stays x until then and whose id is larger.  Such
     rounds are decided without building anything; the ~36m-edge G is built
     once, and only if some round can take the random path
-    (``_working_graph``).  Its degeneracy order, forward rows and W are then
-    computed once (``_MarkerRounds``), and no round builds an augmented
-    graph: the cliques' part of the order and their wedges follow in closed
-    form, and each pass walks them as a block of G's rows
-    (``_skip_pass``).  A round whose doubling reaches p = 1 takes the same
-    closed-form outcome without a pass at p = 1.  Seeds, samples and
-    outcomes are those of sampling each materialised augmented graph.
+    (``_working_graph``): after its node and edge counts pass the node-id
+    limit and ``gadgets.MATERIALIZE_CAP``, the blow-up's edges and K3's
+    stream into one ``build_graph`` call, with no blow-up built on its own.
+    Its degeneracy order, forward rows and W are then computed once
+    (``_MarkerRounds``), and no round builds an augmented graph: the
+    cliques' part of the order and their wedges follow in closed form, and
+    each pass walks them as a block of G's rows (``_skip_pass``).  A round
+    whose doubling reaches p = 1 takes the same closed-form outcome without
+    a pass at p = 1.  Seeds, samples and outcomes are those of sampling
+    each materialised augmented graph.
     ``zeta`` and ``seed`` are the samplers' (see ``SamplerConfig``).
 
     ``pseudocode_growth`` grows x by (1 + epsilon) per round instead of
@@ -361,7 +366,8 @@ def _working_graph(g: Graph, n_w: int, m_w: int) -> Graph:
     ``estimate_trussness`` computes them) are held to ``graph.NODE_ID_LIMIT``
     and ``gadgets.MATERIALIZE_CAP``, read at call time, before anything is
     built; a limit it would pass raises one ValueError line that names the
-    blow-up.
+    blow-up.  The blow-up's edges then stream into the one ``build_graph``
+    call of the union (``disjoint_union``), so G is built and held once.
     """
     sizes = ((n_w, "nodes, above the node-id limit", graph.NODE_ID_LIMIT),
              (m_w, "edges, above the blow-up edge cap", gadgets.MATERIALIZE_CAP))
@@ -372,7 +378,7 @@ def _working_graph(g: Graph, n_w: int, m_w: int) -> Graph:
                 f" would have {size} {what} {limit}; a larger zeta decides more rounds in closed"
                 f" form, without building it"
             )
-    return disjoint_union(blowup(g, 6).materialize(gadgets.MATERIALIZE_CAP), complete_graph(3))
+    return disjoint_union(blowup(g, 6), complete_graph(3))
 
 
 @dataclass(frozen=True)
@@ -387,9 +393,12 @@ def threshold_rounds(g: Graph, epsilon: float) -> list[ThresholdRound]:
 
     Each round counts the supports of the current graph's edges
     (``compute_supports``), records the triangle density T_i/m_i and builds
-    the next graph from the edges of support > c * T_i/m_i, on the same
-    nodes; supports sum to 3*T_i, so at most a 3/c fraction of edges
-    survives and O(log m) rounds suffice.
+    the next graph from the edges of support > c * T_i/m_i, in edge-id
+    order, on their endpoints alone, renumbered densely in first-appearance
+    order: m_i, T_i and the density do not depend on node labels, and a
+    round then maps only nodes that still carry an edge.  Supports sum to
+    3*T_i, so at most a 3/c fraction of edges survives and O(log m) rounds
+    suffice.
     """
     if not (0.0 < epsilon < math.inf):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
@@ -401,7 +410,10 @@ def threshold_rounds(g: Graph, epsilon: float) -> list[ThresholdRound]:
         rounds.append(ThresholdRound(g.m, table.triangle_count, density))
         # Supports are integers, so s > c * density iff s > its floor.
         cutoff = math.floor(c * density)
-        g = build_graph(compress(g.edges(), map(cutoff.__lt__, table.support)), node_count=g.n)
+        keep = bytes(map(cutoff.__lt__, table.support))
+        label = dict(zip(dict.fromkeys(chain.from_iterable(compress(g.edges(), keep))), count()))
+        kept = ((label[u], label[v]) for u, v in compress(g.edges(), keep))
+        g = build_graph(kept, node_count=len(label))
     return rounds
 
 

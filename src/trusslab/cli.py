@@ -30,6 +30,7 @@ from array import array
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
+from operator import itemgetter
 from typing import IO, Callable, Iterator, Sequence
 
 from .approx import estimate_trussness, threshold_estimate, threshold_rounds
@@ -37,7 +38,7 @@ from .gadgets import MATERIALIZE_CAP, add_spurious_cliques, bipartite_apex, blow
 from .graph import Graph, degeneracy_order, forward_wedge_count
 from .io import load_graph, write_edge_list
 from .sampling import SamplerConfig, gnp_random_graph, sample_hypergraph
-from .triangles import compute_supports, forward_triangles, sorted3
+from .triangles import compute_supports, forward_triangles
 from .truss import _trussness_from_supports, edge_trussness, truss_decomposition
 
 
@@ -233,7 +234,7 @@ def _triangles_list(g, args):
     # Node triples sort as their keys (x*n + y)*n + z, x < y < z, one int each.
     n = g.n
     keys = sorted((x * n + y) * n + z
-                  for x, y, z in (sorted3(u, a, b) for u, a, b, *_ in forward_triangles(g)))
+                  for x, y, z in map(sorted, map(itemgetter(0, 1, 2), forward_triangles(g))))
     flat = array("i")
     for key in keys:
         xy, z = divmod(key, n)

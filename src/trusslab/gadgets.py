@@ -6,12 +6,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from typing import Iterator
 
 from .graph import Graph, build_graph
 
-# Default edge cap of ``BlowupView.materialize``.
+# Edge cap of ``BlowupView.materialize`` (its default), of the estimator's
+# working graph and of ``ladder_gadget`` and ``bipartite_apex``; each reads
+# it at call time and refuses a graph above it before building any of it.
 MATERIALIZE_CAP = 10_000_000
 
 
@@ -112,11 +114,21 @@ def add_spurious_cliques(g: Graph, x: int) -> AugmentedGraph:
     return AugmentedGraph(combined, count, flags)
 
 
-def disjoint_union(a: Graph, b: Graph) -> Graph:
-    """Union with b's node ids shifted past a's; a's edge ids come first."""
+def disjoint_union(a: Graph | BlowupView, b: Graph) -> Graph:
+    """Union with b's node ids shifted past a's; a's edge ids come first.
+
+    ``a`` may be a ``BlowupView``: its edges stream into the one build of
+    the union, so the blow-up is never built on its own.
+    """
     shift = a.n
     edges = chain(a.edges(), ((u + shift, v + shift) for u, v in b.edges()))
     return build_graph(edges, node_count=a.n + b.n)
+
+
+def _check_edge_cap(name: str, m: int) -> None:
+    """Refuse a gadget of m edges above ``MATERIALIZE_CAP``, read at call time."""
+    if m > MATERIALIZE_CAP:
+        raise ValueError(f"{name} would have {m} edges, above the edge cap {MATERIALIZE_CAP}")
 
 
 def ladder_gadget(x: int) -> Graph:
@@ -125,28 +137,26 @@ def ladder_gadget(x: int) -> Graph:
     Pendant i (1-based) is adjacent to clique nodes 0..i-1, so its edges have
     trussness exactly i-1; together with the clique edges the gadget realizes
     every trussness value in {0, ..., x-1}.  Used as a calibrated ruler of
-    known trussness values when decoding a truss order.
+    known trussness values when decoding a truss order.  Its x^2 edges are
+    held to ``MATERIALIZE_CAP`` before any is built.
     """
     if x < 1:
         raise ValueError("ladder parameter must be >= 1")
-    edges = list(combinations(range(x), 2))
-    for i in range(1, x + 1):
-        pendant = x + i - 1
-        edges.extend((c, pendant) for c in range(i))
-    return build_graph(edges, node_count=2 * x)
+    _check_edge_cap(f"ladder gadget x={x}", x * x)
+    pendants = ((c, x + i - 1) for i in range(1, x + 1) for c in range(i))
+    return build_graph(chain(combinations(range(x), 2), pendants), node_count=2 * x)
 
 
 def bipartite_apex(side: int) -> Graph:
     """Complete bipartite K_{side,side} plus an apex adjacent to everything.
 
     Triangle-rich (side^2 triangles through the apex) yet trussness 1: every
-    non-apex edge lies in exactly one triangle.
+    non-apex edge lies in exactly one triangle.  Its side^2 + 2*side edges
+    are held to ``MATERIALIZE_CAP`` before any is built.
     """
     if side < 1:
         raise ValueError("side must be >= 1")
-    left = range(side)
-    right = range(side, 2 * side)
+    _check_edge_cap(f"bipartite-apex gadget side={side}", side * side + 2 * side)
     apex = 2 * side
-    edges = [(u, v) for u in left for v in right]
-    edges.extend((u, apex) for u in range(2 * side))
-    return build_graph(edges, node_count=2 * side + 1)
+    spokes = ((u, apex) for u in range(apex))
+    return build_graph(chain(product(range(side), range(side, apex)), spokes), node_count=apex + 1)

@@ -2,9 +2,10 @@
 
 One edge per line as two whitespace-separated node ids, integers in
 ``[0, graph.NODE_ID_LIMIT)``.  Lines starting with '#' and blank lines are
-ignored.  An edge line may carry a trailing ``# spurious`` marker, which
-round-trips through load/save so that gadget-augmented graphs stay
-inspectable on disk.  Each line is checked once, as it is read.
+ignored.  An edge line may carry a trailing ``# spurious`` marker (a
+comment that is exactly ``spurious``, spaces aside), which round-trips
+through load/save so that gadget-augmented graphs stay inspectable on
+disk.  Each line is checked once, as it is read.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ class EdgeListError(ValueError):
 
 def _parse_columns(lines: Iterable[str]) -> tuple[array, array, bytearray]:
     """Parse raw lines into two endpoint columns and a column of spurious
-    flags (0 or 1), in input order.  Each node id is held to
+    flags (0 or 1), in input order; a line is flagged iff its comment,
+    stripped, is exactly ``spurious``.  Each node id is held to
     ``graph.NODE_ID_LIMIT``, read at call time, on the line that holds it,
     so every id that reaches a column fits its ``array('i')``."""
     limit = graph.NODE_ID_LIMIT
@@ -49,7 +51,7 @@ def _parse_columns(lines: Iterable[str]) -> tuple[array, array, bytearray]:
             raise EdgeListError(line_no, f"node id {max(u, v)} not below the node-id limit {limit}")
         us.append(u)
         vs.append(v)
-        flags.append("spurious" in comment)
+        flags.append(comment.strip() == "spurious")
     return us, vs, flags
 
 

@@ -23,7 +23,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .gadgets import spurious_clique_budget
 from .graph import DegeneracyInfo, Graph, build_graph, degeneracy_order, forward_wedge_count
@@ -424,26 +424,29 @@ def gnp_random_graph(n: int, p: float, seed: int) -> Graph:
     Pairs (i, j), i < j, are serialized lexicographically and visited by
     one ``geometric_skip`` draw per step, so the cost is proportional to
     the number of edges produced; p = 1 visits every pair without drawing.
-    Deterministic per seed.
+    The edges stream into ``build_graph``, whose node-count check runs
+    before the first draw.  Deterministic per seed.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must be in [0, 1], got {p}")
-    if n < 2 or p == 0.0:
-        return build_graph([], node_count=n)
-    rng = random.Random(seed)
-    total = n * (n - 1) // 2
-    edges: list[tuple[int, int]] = []
-    row = 0
-    row_start = 0
-    row_len = n - 1
-    serial = geometric_skip(p, rng) - 1
-    while serial < total:
-        while serial >= row_start + row_len:
-            row_start += row_len
-            row += 1
-            row_len -= 1
-        edges.append((row, row + 1 + (serial - row_start)))
-        serial += geometric_skip(p, rng)
-    return build_graph(edges, node_count=n)
+
+    def pairs() -> Iterator[tuple[int, int]]:
+        if n < 2 or p == 0.0:
+            return
+        rng = random.Random(seed)
+        total = n * (n - 1) // 2
+        row = 0
+        row_start = 0
+        row_len = n - 1
+        serial = geometric_skip(p, rng) - 1
+        while serial < total:
+            while serial >= row_start + row_len:
+                row_start += row_len
+                row += 1
+                row_len -= 1
+            yield row, row + 1 + (serial - row_start)
+            serial += geometric_skip(p, rng)
+
+    return build_graph(pairs(), node_count=n)

@@ -92,16 +92,6 @@ class Triples(Sequence):
         return f"Triples({list(self)!r})"
 
 
-def sorted3(x: int, y: int, z: int) -> tuple[int, int, int]:
-    if x > y:
-        x, y = y, x
-    if y > z:
-        y, z = z, y
-        if x > y:
-            x, y = y, x
-    return (x, y, z)
-
-
 def forward_rows(g: Graph, order: Sequence[int], pos: Sequence[int]) -> Iterator[ForwardRow]:
     """Each node in ``order`` with its later neighbors and their edge ids;
     ``pos[u]`` is the index of u in ``order``.  Nodes with fewer than two

@@ -46,7 +46,6 @@ from trusslab.triangles import (
     compute_supports,
     forward_rows,
     forward_triangles,
-    sorted3,
 )
 from trusslab.truss import EdgeOrder, TrussDecomposition, _peel_from_supports
 
@@ -461,7 +460,7 @@ def reference_skip_pass(
         j = i + 1 + local
         closing = g.neighbors(later[i]).get(later[j])
         if closing is not None:
-            out.append(sorted3(ids[i], ids[j], closing))
+            out.append(tuple(sorted((ids[i], ids[j], closing))))
         serial += geometric_skip(p, rng)
     return out
 
@@ -498,3 +497,20 @@ def reference_gnp_edges(n: int, p: float, seed: int) -> list[tuple[int, int]]:
         out.append(pairs[serial])
         serial += geometric_skip(p, rng)
     return out
+
+
+def reference_ladder_edges(x: int) -> list[tuple[int, int]]:
+    """Edges of ``ladder_gadget(x)`` in id order, listed before any build:
+    the clique's pairs, then pendant i's edges to clique nodes 0..i-1."""
+    edges = list(combinations(range(x), 2))
+    for i in range(1, x + 1):
+        edges.extend((c, x + i - 1) for c in range(i))
+    return edges
+
+
+def reference_bipartite_apex_edges(side: int) -> list[tuple[int, int]]:
+    """Edges of ``bipartite_apex(side)`` in id order, listed before any
+    build: the bipartite pairs row by row, then every spoke to the apex."""
+    edges = [(u, v) for u in range(side) for v in range(side, 2 * side)]
+    edges.extend((u, 2 * side) for u in range(2 * side))
+    return edges

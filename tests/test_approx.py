@@ -28,7 +28,7 @@ from test_cli import run_cli
 from test_graph import small_graphs
 from test_triangles import mask_rule_graphs
 from test_truss import _hub_graph
-from trusslab import approx, sampling
+from trusslab import approx, gadgets, sampling
 from trusslab.approx import (
     _marker_hit,
     _round_order,
@@ -276,6 +276,30 @@ def test_marker_length_check_covers_every_sized_order(kind):
 
 def _working(g):
     return disjoint_union(blowup(g, 6).materialize(), complete_graph(3))
+
+
+def test_working_graph_is_one_build_of_the_materialised_union(monkeypatch):
+    """The working graph equals the union with the materialised 6-fold
+    blow-up in n, m and every edge; one ``build_graph`` call makes it (the
+    other builds K3), and its build peaks 0.3 bytes per edge above the
+    ~111 it keeps, where building the blow-up first peaked ~111 above."""
+    g = gnp_random_graph(120, 0.1, 1)
+    n_w, m_w = 6 * g.n + 3, 36 * g.m + 3
+    want = _working(g)
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(build_graph(*args, **kwargs))
+        return built[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gadgets, "build_graph", spy)
+        got = approx._working_graph(g, n_w, m_w)
+    assert (got.n, got.m, list(got.edges())) == (want.n, want.m, list(want.edges()))
+    assert (n_w, m_w) == (got.n, got.m) and m_w > 20_000
+    assert [h.m for h in built] == [3, m_w] and built[1] is got
+    got, kept, peak = traced_bytes(lambda: approx._working_graph(g, n_w, m_w))
+    assert peak - kept < 16 * m_w
 
 
 def test_round_order_is_the_round_on_the_materialised_graph():
@@ -672,6 +696,21 @@ def test_threshold_rounds_count_through_compute_supports(monkeypatch):
     monkeypatch.setattr(approx, "compute_supports", counting)
     assert threshold_rounds(g, 0.1) == want
     assert counted == [r.edges for r in want]
+
+
+def test_threshold_rounds_build_on_the_survivors_own_nodes(monkeypatch):
+    """Later rounds run on the survivors' endpoints alone, renumbered
+    densely, with the reference's m, T and density: a K6 on scattered ids
+    among 120 nodes survives round 1 of a path-heavy graph as a 6-node
+    graph."""
+    clique = [3, 17, 40, 41, 90, 99]
+    path = [(u, u + 1) for u in range(42, 89)] + [(100, 119), (0, 2)]
+    g = build_graph([*itertools.combinations(clique, 2), *path], node_count=120)
+    nodes = []
+    monkeypatch.setattr(approx, "compute_supports", lambda h: nodes.append(h.n) or
+                        compute_supports(h))
+    assert threshold_rounds(g, 0.1) == reference_threshold_rounds(g, 0.1)
+    assert nodes == [120, 6]
 
 
 def test_threshold_rounds_copy_no_neighbor_map():

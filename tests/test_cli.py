@@ -255,6 +255,10 @@ def test_id_at_the_node_limit_is_a_line_error(tmp_path, capsys, monkeypatch, sou
         # the largest id below the limit, then the limit itself
         ("9999999 0", ([(9999999, 0)], [False])),
         ("0 10000000", "line 2: node id 10000000 not below the node-id limit 10000000"),
+        # only a comment that is exactly "spurious", spaces aside, flags its edge
+        ("0 1 #spurious", ([(0, 1)], [True])),
+        ("0 1 # not spurious", ([(0, 1)], [False])),
+        ("0 1 # spurious edge", ([(0, 1)], [False])),
     ],
 )
 def test_parse_edge_lines_table(line, parsed):
@@ -494,6 +498,18 @@ def test_zeta_whose_first_p_underflows_is_one_line_error(tmp_path, capsys):
     assert out == ""
     assert err.startswith(f"trusslab: error: zeta={TINY} ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, name", [(["gadget", "ladder", "-x", "5"], "ladder gadget x=5"),
+                                        (["gadget", "bipartite-apex", "-s", "4"],
+                                         "bipartite-apex gadget side=4")])
+def test_gadget_past_the_edge_cap_is_one_line_error(capsys, monkeypatch, argv, name):
+    """Above ``MATERIALIZE_CAP`` a gadget stops on one line naming it, exit 1."""
+    monkeypatch.setattr(trusslab.gadgets, "MATERIALIZE_CAP", 20)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"trusslab: error: {name} would have ")
+    assert err.endswith(" edges, above the edge cap 20\n") and err.count("\n") == 1
 
 
 def test_working_graph_past_a_limit_is_one_line_error(tmp_path, capsys, monkeypatch):

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+import trusslab.gadgets as gadgets
 from conftest import traced_bytes
+from oracles import reference_bipartite_apex_edges, reference_ladder_edges
 from test_graph import small_graphs
 from trusslab.gadgets import (
     add_spurious_cliques,
@@ -188,6 +190,17 @@ def test_combined_graph_streams_its_edges(combine):
     assert peak - kept < 16 * combined.m
 
 
+@settings(max_examples=40, deadline=None)
+@given(small_graphs())
+def test_union_with_a_blowup_view_is_the_materialised_union(g):
+    """A ``BlowupView`` streams into the union: n, m and every edge id equal
+    those of the union with the materialised blow-up."""
+    for q in (1, 2, 6):
+        want = disjoint_union(blowup(g, q).materialize(), complete_graph(3))
+        got = disjoint_union(blowup(g, q), complete_graph(3))
+        assert (got.n, got.m, list(got.edges())) == (want.n, want.m, list(want.edges()))
+
+
 # ---------------------------------------------------------------- ladder ----
 
 
@@ -222,6 +235,33 @@ def test_ladder_pendant_edge_trussness():
 
 
 # ---------------------------------------------------------------- apex ----
+
+
+def test_gadget_edges_are_the_listed_edges():
+    """Streamed into ``build_graph``, each gadget has the edges, in id
+    order, and the node count of the list built before."""
+    for k in (1, 2, 3, 7, 12):
+        ladder, apex = ladder_gadget(k), bipartite_apex(k)
+        assert (ladder.n, list(ladder.edges())) == (2 * k, reference_ladder_edges(k))
+        assert (apex.n, list(apex.edges())) == (2 * k + 1, reference_bipartite_apex_edges(k))
+
+
+@pytest.mark.parametrize("build, k, name", [(ladder_gadget, 5, "ladder gadget x=5"),
+                                            (bipartite_apex, 4, "bipartite-apex gadget side=4")])
+def test_gadget_above_the_edge_cap_is_refused_unbuilt(monkeypatch, build, k, name):
+    """x^2 ladder edges and s^2+2s apex edges are held to ``MATERIALIZE_CAP``,
+    read at call time, before ``build_graph`` sees any; at the cap it builds."""
+    m = build(k).m
+    built = []
+    monkeypatch.setattr(gadgets, "build_graph", lambda *a, **kw: built.append(a))
+    monkeypatch.setattr(gadgets, "MATERIALIZE_CAP", m - 1)
+    with pytest.raises(ValueError) as err:
+        build(k)
+    assert str(err.value) == f"{name} would have {m} edges, above the edge cap {m - 1}"
+    assert built == []
+    monkeypatch.setattr(gadgets, "MATERIALIZE_CAP", m)
+    build(k)
+    assert len(built) == 1
 
 
 def test_apex_side1_is_triangle():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import marker_pass, traced_bytes
-from trusslab import sampling
+from trusslab import graph, sampling
 from trusslab.approx import _round_order
 from trusslab.gadgets import (
     add_spurious_cliques,
@@ -670,6 +670,16 @@ def test_gnp_matches_reference_skip_loop():
         for seed in range(4):
             want = oracles.reference_gnp_edges(n, p, seed)
             assert list(gnp_random_graph(n, p, seed).edges()) == want, (n, p, seed)
+
+
+def test_gnp_node_count_is_refused_before_any_draw(monkeypatch):
+    """n above ``graph.NODE_ID_LIMIT`` raises before the first skip is drawn."""
+    draws = []
+    monkeypatch.setattr(sampling, "geometric_skip", lambda *a: draws.append(a) or 1)
+    monkeypatch.setattr(graph, "NODE_ID_LIMIT", 100)
+    with pytest.raises(ValueError, match="node_count 1000 above the node-id limit 100"):
+        gnp_random_graph(1000, 0.5, 0)
+    assert draws == []
 
 
 def test_gnp_determinism():
