@@ -233,15 +233,18 @@ def _marker_hit(m: int, kept: Sequence[tuple[int, int, int]], marks: Sequence[in
     precedes a working edge iff the working part's peel pops some edge at
     a degree above k*, that is iff its degeneracy exceeds k*, iff its
     (k*+1)-core is not empty.  With k* = 0 that core is every kept
-    hyperedge.  Otherwise a worklist finds it, with no queue and no
-    tie-break: vertices of degree at most k* drop, each taking its live
-    hyperedges with it, and a vertex joins the worklist when its degree
-    falls to k*; the core is what is left.
+    hyperedge.  A peel pops each of the m vertices once, taking at most its
+    degree at the pop, so K kept hyperedges force a degeneracy of at least
+    K/m: K > k*·m decides a hit by counting alone.  Otherwise a worklist
+    finds the core, with no queue and no tie-break: vertices of degree at
+    most k* drop, each taking its live hyperedges with it, and a vertex
+    joins the worklist when its degree falls to k*; the core is what is
+    left.
     """
     least = min(marks)
     ids = Triples.of(kept).ids
     live = len(ids) // 3
-    if not least:
+    if not least or live > least * m:
         return live > 0
     incidence = _incidence(m, ids)
     degree = list(map(len, incidence))
@@ -303,7 +306,11 @@ def estimate_trussness(
     each pass walks them as a block of G's rows (``_skip_pass``).  A round
     whose doubling reaches p = 1 takes the same closed-form outcome without
     a pass at p = 1.  Seeds, samples and outcomes are those of sampling
-    each materialised augmented graph.
+    each materialised augmented graph.  x grows to at most
+    min(ceil(2*sqrt(m_G)), 2*d(G)+2).  The second term cannot bind after a
+    closed-form hit, since x < t(G) < d(G) and x at most doubles, so it is
+    read off G's own order once a round samples, and the input is never
+    ordered.
     ``zeta`` and ``seed`` are the samplers' (see ``SamplerConfig``).
 
     ``pseudocode_growth`` grows x by (1 + epsilon) per round instead of
@@ -322,8 +329,7 @@ def estimate_trussness(
     m_w = 36 * g_in.m + 3
     tri_w = 216 * supports.triangle_count + 1
     t_w = max(6 * t_in, 1)
-    d_w = max(6 * degeneracy_order(g_in).degeneracy, 2)
-    x_cap = min(2 * d_w + 2, math.ceil(2 * math.sqrt(m_w)))
+    x_cap = math.ceil(2 * math.sqrt(m_w))
     rounds: _MarkerRounds | None = None
 
     x = 1
@@ -336,6 +342,7 @@ def estimate_trussness(
         if not fallback_certain(*augmented_sizes(n_w, m_w, tri_w, x), eps_prime_float, zeta):
             if rounds is None:
                 rounds = _MarkerRounds(_working_graph(g_in, n_w, m_w))
+                x_cap = min(x_cap, 2 * rounds.info.degeneracy + 2)
             hit, fell_back = _round_order(rounds, x, eps_prime_float, zeta, base + len(trace))
             all_fell_back = all_fell_back and fell_back
         if hit is None:

@@ -30,7 +30,6 @@ from array import array
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
-from operator import itemgetter
 from typing import IO, Callable, Iterator, Sequence
 
 from .approx import estimate_trussness, threshold_estimate, threshold_rounds
@@ -38,7 +37,7 @@ from .gadgets import MATERIALIZE_CAP, add_spurious_cliques, bipartite_apex, blow
 from .graph import Graph, degeneracy_order, forward_wedge_count
 from .io import load_graph, write_edge_list
 from .sampling import SamplerConfig, gnp_random_graph, sample_hypergraph
-from .triangles import compute_supports, forward_triangles
+from .triangles import compute_supports
 from .truss import _trussness_from_supports, edge_trussness, truss_decomposition
 
 
@@ -231,15 +230,21 @@ def _triangles_count(g, args):
 
 
 def _triangles_list(g, args):
-    # Node triples sort as their keys (x*n + y)*n + z, x < y < z, one int each.
-    n = g.n
-    keys = sorted((x * n + y) * n + z
-                  for x, y, z in map(sorted, map(itemgetter(0, 1, 2), forward_triangles(g))))
+    # The supports' kernel in node order: each node x, each neighbor y > x
+    # and each common neighbor z > y, ascending, is the sorted stream of
+    # node triples x < y < z, one flat int column with no per-triangle key.
+    keys = [nbrs.keys() for nbrs in map(g.neighbors, g.nodes())]
     flat = array("i")
-    for key in keys:
-        xy, z = divmod(key, n)
-        flat.extend((*divmod(xy, n), z))
-    return _triple_lines(flat), {"triangles": len(keys)}
+    push = flat.append
+    for x, kx in enumerate(keys):
+        for y in sorted(kx):
+            if y > x:
+                for z in sorted(kx & keys[y]):
+                    if z > y:
+                        push(x)
+                        push(y)
+                        push(z)
+    return _triple_lines(flat), {"triangles": len(flat) // 3}
 
 
 def _node_order(g, args):
@@ -335,13 +340,10 @@ def _corpus_paths(source: str) -> list[str]:
         return [os.path.join(source, name) for name in names]
     if os.path.isfile(source):
         with open(source, "r", encoding="utf-8") as fh:
-            base = os.path.dirname(os.path.abspath(source))
-            paths = []
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                paths.append(line if os.path.isabs(line) else os.path.join(base, line))
+            lines = [line.strip() for line in fh]
+        # join keeps an absolute path as it is and puts a relative one under base
+        base = os.path.dirname(os.path.abspath(source))
+        paths = [os.path.join(base, line) for line in lines if line and not line.startswith("#")]
         if not paths:
             raise FileNotFoundError(f"no paths in corpus manifest {source}")
         return paths
@@ -415,7 +417,10 @@ def cmd_bench(args) -> None:
     paths = _corpus_paths(args.corpus)
     rows: list[dict] = []
     for path in paths:
-        g = load_graph(path)[0]
+        try:
+            g = load_graph(path)[0]
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         start = time.perf_counter()
         supports = compute_supports(g)
         decomp = _trussness_from_supports(g, supports)

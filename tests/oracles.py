@@ -45,7 +45,7 @@ from trusslab.triangles import (
     SupportTable,
     compute_supports,
     forward_rows,
-    forward_triangles,
+    list_triangles,
 )
 from trusslab.truss import EdgeOrder, TrussDecomposition, _peel_from_supports
 
@@ -221,15 +221,16 @@ def replay_min_degree_order(g: Graph, order: list[int]) -> bool:
 
 
 def reference_compute_supports(g: Graph) -> SupportTable:
-    """Supports from the forward-wedge walk in (degree, id) order: three
-    increments per triangle, at the one wedge that closes it."""
+    """Supports from the forward-wedge walk (``list_triangles``) over the
+    rows of the (degree, id) order: three increments per triangle, at the
+    one wedge that closes it."""
     order = sorted(range(g.n), key=g.degree)
     positions = [0] * g.n
     for rank, u in enumerate(order):
         positions[u] = rank
     support = [0] * g.m
     count = 0
-    for _, _, _, x, y, z in forward_triangles(g, forward_rows(g, order, positions)):
+    for x, y, z in list_triangles(g, forward_rows(g, order, positions)):
         support[x] += 1
         support[y] += 1
         support[z] += 1

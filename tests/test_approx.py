@@ -28,7 +28,7 @@ from test_cli import run_cli
 from test_graph import small_graphs
 from test_triangles import mask_rule_graphs
 from test_truss import _hub_graph
-from trusslab import approx, gadgets, sampling
+from trusslab import approx, gadgets, sampling, triangles
 from trusslab.approx import (
     _marker_hit,
     _round_order,
@@ -349,6 +349,38 @@ def test_marker_hit_is_the_core_test_of_the_kept_column():
     assert set(cases) == {"empty", "k* = 0", "core", "peels away"}, cases
 
 
+def test_marker_hit_counting_bound_implies_the_core_hit():
+    """K > k*·m kept hyperedges on m vertices force a peel degeneracy above
+    k*, the least marker-edge degree, so the count alone is a hit: on marker
+    passes of seeded rounds and on seeded random columns, every case the
+    bound decides has a non-empty (k*+1)-core by a full peel, with k* = 0
+    and above, and ``_marker_hit`` agrees with that peel on every case."""
+    cases = []
+    for g in (_working(complete_graph(4)), _working(gnp_random_graph(7, 0.6, 3)),
+              complete_graph(9)):
+        rounds = _MarkerRounds(g)
+        for x, p, seed in itertools.product((1, 2, 4), (0.05, 0.5, 0.9), range(3)):
+            kept, marks = marker_pass(rounds, x, p, random.Random(seed))
+            cases.append((g.m, kept, marks))
+    for seed in range(60):
+        rng = random.Random(seed)
+        m = rng.randrange(3, 12)
+        kept = [tuple(sorted(rng.sample(range(m), 3))) for _ in range(rng.randrange(4 * m))]
+        cases.append((m, kept, [rng.randrange(4) for _ in range(3)]))
+    decided = Counter()
+    for i, (m, kept, marks) in enumerate(cases):
+        least = min(marks)
+        peel = hypergraph_degeneracy_order(HypergraphSample(m, kept, 1.0, False, 0))
+        want = peel.degeneracy > least
+        assert _marker_hit(m, kept, marks) is want, i
+        if len(kept) > least * m:
+            assert want, i
+            decided[least > 0] += 1
+        else:
+            decided["worklist", want] += 1
+    assert set(decided) == {False, True, ("worklist", True), ("worklist", False)}, decided
+
+
 def test_marker_on_exact_order_of_k6_with_small_x():
     g = complete_graph(6)  # trussness 4
     augmented = add_spurious_cliques(g, 1)
@@ -568,6 +600,66 @@ def test_estimate_matches_materialised_reference(monkeypatch):
     assert sampled >= 10
     assert kinds[True] and kinds[False] and kinds["fell back"], kinds
     assert max(x for x, _ in got.trace) >= 45
+
+
+def test_closed_form_estimates_order_no_graph(monkeypatch):
+    """An estimate whose rounds are all closed-form computes no degeneracy
+    order, the input's included; one that samples orders only its working
+    graph, once."""
+    ordered = []
+    real = degeneracy_order
+
+    def spy(g):
+        ordered.append((g.n, g.m))
+        return real(g)
+
+    for module in (approx, sampling, triangles):
+        monkeypatch.setattr(module, "degeneracy_order", spy)
+    graphs = [g for _, g in gadget_graphs()] + [gnp_random_graph(12, 0.5, 1)]
+    sampled = 0
+    for i, g in enumerate(graphs):
+        del ordered[:]
+        result = estimate_trussness(g, 0.5, seed=1)
+        assert result.all_rounds_fell_back and ordered == [], i
+        result = estimate_trussness(g, 0.5, zeta=0.001, seed=1)
+        assert ordered in ([], [(6 * g.n + 3, 36 * g.m + 3)]), i
+        assert ordered or result.all_rounds_fell_back, i
+        sampled += not result.all_rounds_fell_back
+    assert sampled >= len(graphs) // 2
+
+
+def test_estimate_stops_where_the_input_order_would_stop_it():
+    """Capping x at min(2*d(G)+2, ceil(2*sqrt(m_G))), with d(G) = max(6d, 2)
+    from the input's degeneracy order, ends every run where the estimator's
+    own cap does: each hit is followed by a round iff its next x is within
+    that cap.  So traces and estimates are those of a run capped by it, over
+    the gadgets and seeded G(n, p), growth on and off, eps 0.3 and 0.9, and
+    zeta 110 and 0.001; the sweep includes runs stopped at the cap by the
+    degeneracy term after sampling."""
+    graphs = [g for _, g in gadget_graphs()] + [
+        gnp_random_graph(n, p, seed) for n, p, seed in ((7, 0.6, 1), (9, 0.5, 2), (10, 0.7, 3))]
+    stops = Counter()
+    for i, g in enumerate(graphs):
+        m_w = 36 * g.m + 3
+        by_order = 2 * max(6 * degeneracy_order(g).degeneracy, 2) + 2
+        cap = min(by_order, math.ceil(2 * math.sqrt(m_w)))
+        for growth, eps, zeta in itertools.product((False, True), (0.3, 0.9), (110.0, 0.001)):
+            result = estimate_trussness(g, eps, zeta=zeta, seed=1, pseudocode_growth=growth)
+            rate = 1 + Fraction(str(eps)) / (1 if growth else 6)
+            xs = [x for x, _ in result.trace]
+            assert xs == sorted(set(xs)) and xs[0] == 1, (i, growth, eps, zeta)
+            for at, (x, hit) in enumerate(result.trace):
+                nxt = math.ceil(rate * x)
+                if hit:
+                    assert (at + 1 < len(xs)) == (nxt <= cap), (i, growth, eps, zeta, x)
+                    if at + 1 < len(xs):
+                        assert xs[at + 1] == nxt
+                else:
+                    assert at + 1 == len(xs)
+            if result.trace[-1][1]:
+                stops["degeneracy cap" if by_order == cap else "sqrt cap",
+                      result.all_rounds_fell_back] += 1
+    assert ("degeneracy cap", False) in stops, stops
 
 
 def test_every_sampled_round_passes_through_skip_pass(monkeypatch):

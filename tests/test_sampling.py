@@ -3,7 +3,7 @@ import os
 import random
 import sys
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, count
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import marker_pass, traced_bytes
-from trusslab import graph, sampling
+from trusslab import gadgets, graph, sampling
 from trusslab.approx import _round_order
 from trusslab.gadgets import (
     add_spurious_cliques,
+    augmented_sizes,
     bipartite_apex,
     blowup,
     complete_graph,
@@ -608,6 +609,29 @@ def test_fallback_certain_predicts_the_sampler():
                     eff = effective_epsilon(eps, g.n)
                     assert initial_probability(g.m, W, eff, zeta) < 1.0
     assert certain and uncertain
+
+
+def test_default_zeta_never_samples_within_the_caps():
+    """At the default zeta = 110 no marker round of K_745 can sample, at
+    any x up to the estimator's cap and even at epsilon near 1.  K_745 is
+    the largest clique whose working graph (36m+3 edges) fits
+    ``MATERIALIZE_CAP``, and a clique has the most triangles for its edge
+    count.  A default ``sample`` needs T >= 165*m*ln(m)/eps^2: K_745 falls
+    back, and the least clique that can sample at epsilon 0.999 has 8 651
+    nodes."""
+    n = 745
+    m, T = math.comb(n, 2), math.comb(n, 3)
+    n_w, m_w, tri_w = 6 * n + 3, 36 * m + 3, 216 * T + 1
+    assert m_w <= gadgets.MATERIALIZE_CAP < 36 * math.comb(n + 1, 2) + 3
+    x_cap = min(2 * 6 * (n - 1) + 2, math.ceil(2 * math.sqrt(m_w)))
+    for eps in (0.5, 0.9, 0.999):
+        assert all(fallback_certain(*augmented_sizes(n_w, m_w, tri_w, x), eps / 6, 110.0)
+                   for x in range(1, x_cap + 1)), eps
+        assert fallback_certain(n, m, T, eps, 110.0), eps
+    assert sample_size_target(m, 1.0, 110.0) == pytest.approx(165 * m * math.log(m))
+    least = next(k for k in count(n) if not fallback_certain(
+        k, math.comb(k, 2), math.comb(k, 3), 0.999, 110.0))
+    assert least == 8651
 
 
 def test_sampled_hyperedges_are_real_triangles():

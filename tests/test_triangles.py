@@ -6,10 +6,16 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
-from conftest import traced_bytes
+from conftest import gadget_graphs, traced_bytes
 from test_graph import small_graphs
 from test_truss import _hub_graph
-from trusslab.gadgets import bipartite_apex, blowup, complete_graph
+from trusslab.gadgets import (
+    add_spurious_cliques,
+    bipartite_apex,
+    blowup,
+    complete_graph,
+    ladder_gadget,
+)
 from trusslab.graph import build_graph, degeneracy_order
 from trusslab.sampling import _skip_pass, gnp_random_graph
 from trusslab.triangles import Triples, compute_supports, forward_rows, list_triangles
@@ -166,3 +172,38 @@ def test_listing_matches_brute_enumeration(g):
     state = rng.getstate()
     assert _skip_pass(g, rows, 1.0, rng) == listed
     assert rng.getstate() == state
+
+
+def listing_graphs() -> list:
+    """Seeded G(n, p) and every gadget, with triangle-free and empty graphs."""
+    graphs = [gnp_random_graph(n, q, seed) for n, q, seed in
+              ((12, 0.5, 1), (20, 0.3, 2), (25, 0.7, 3), (30, 0.9, 4), (40, 0.1, 5))]
+    graphs += [g for _, g in gadget_graphs()]
+    graphs += [ladder_gadget(6), bipartite_apex(5), blowup(complete_graph(4), 3).materialize(),
+               add_spurious_cliques(gnp_random_graph(10, 0.5, 6), 3).graph,
+               build_graph([(0, 1), (1, 2), (2, 3)]), build_graph([], node_count=4), build_graph([])]
+    return graphs
+
+
+def test_listing_is_the_reference_walk_of_its_rows():
+    """Over the rows of the degeneracy order and of the (degree, id) order,
+    the listing is the p = 1 reference walk, triple for triple in probe
+    order, and as a set the brute-force triangles as edge-id triples; no
+    rows list nothing."""
+    for i, g in enumerate(listing_graphs()):
+        eid = g.edge_id
+        brute = {tuple(sorted((eid(a, b), eid(a, c), eid(b, c))))
+                 for a, b, c in oracles.brute_triangles(g)}
+        info = degeneracy_order(g)
+        by_degree = sorted(range(g.n), key=g.degree)
+        positions = [0] * g.n
+        for rank, u in enumerate(by_degree):
+            positions[u] = rank
+        for rows in (list(forward_rows(g, info.order, info.positions)),
+                     list(forward_rows(g, by_degree, positions))):
+            listed = list_triangles(g, rows)
+            assert listed == oracles.reference_skip_pass(g, rows, 1.0, random.Random(0)), i
+            assert len(listed) == len(brute) and set(listed) == brute, i
+        assert list_triangles(g) == list_triangles(g, rows=iter(
+            forward_rows(g, info.order, info.positions))), i
+        assert list_triangles(g, []) == [] and list_triangles(g, iter(())) == [], i
