@@ -22,7 +22,7 @@ from typing import Iterable, Sequence, Sized
 
 from . import gadgets, graph
 from .gadgets import augmented_sizes, blowup, complete_graph, disjoint_union
-from .graph import BucketQueue, Graph, build_graph, degeneracy_order, forward_wedge_count
+from .graph import Graph, build_graph, degeneracy_order, forward_wedge_count, ordered_peel
 from .sampling import (
     _NO_BLOCK, HypergraphSample, SamplerConfig, _doubling, _MarkerRounds, fallback_certain,
 )
@@ -52,7 +52,8 @@ class ApproxTrussOrder:
 
 
 def hypergraph_degeneracy_order(sample: HypergraphSample) -> ApproxTrussOrder:
-    """Peel the 3-uniform sample by minimum degree, ties by vertex id.
+    """Peel the 3-uniform sample by minimum degree, ties by vertex id
+    (``graph.ordered_peel``).
 
     Removing a vertex deletes its incident hyperedges, decrementing the two
     other endpoints of each; on the full triangle hypergraph this replays
@@ -60,29 +61,25 @@ def hypergraph_degeneracy_order(sample: HypergraphSample) -> ApproxTrussOrder:
     in place from their flat column, by their offsets in it
     (``_incidence``).
     """
-    m = sample.vertex_count
     ids = Triples.of(sample.hyperedges).ids
-    incidence = _incidence(m, ids)
-    queue = BucketQueue(map(len, incidence))
+    incidence = _incidence(sample.vertex_count, ids)
     dead = bytearray(len(ids))
-    order: list[int] = []
-    forward: list[int] = []
-    for _ in range(m):
-        v, d = queue.pop_min()
-        order.append(v)
-        forward.append(d)
+
+    def removed(v: int, d: int) -> Sequence[int]:
         # d counts v's live hyperedges; at 0 there is nothing to remove.
         if not d:
-            continue
+            return ()
         # Both other endpoints of a live hyperedge are live; v itself is
-        # popped, so the queue skips it.  The batch copies ids column to
-        # column, with no int made until the queue reads it.
+        # popped, so the peel skips it.  The batch copies ids column to
+        # column, with no int made until the peel reads it.
         batch = array("i")
         for at in incidence[v]:
             if not dead[at]:
                 dead[at] = 1
                 batch += ids[at:at + 3]
-        queue.decrease(batch)
+        return batch
+
+    order, forward = ordered_peel(map(len, incidence), removed)
     return ApproxTrussOrder(order, forward, sample.fell_back_to_exact, sample.realized_p)
 
 

@@ -11,15 +11,20 @@ from typing import Iterator
 
 from .graph import Graph, build_graph
 
-# Edge cap of ``BlowupView.materialize`` (its default), of the estimator's
-# working graph and of ``ladder_gadget`` and ``bipartite_apex``; each reads
-# it at call time and refuses a graph above it before building any of it.
+# Edge cap of the estimator's working graph, of the order reduction's
+# blow-up, of ``complete_graph``, ``gnp_random_graph``, ``ladder_gadget`` and
+# ``bipartite_apex``: each reads it at call time and refuses a graph above it
+# before building any of it.  ``BlowupView.materialize`` takes it as its
+# default, bound when this module loads.
 MATERIALIZE_CAP = 10_000_000
 
 
 def complete_graph(k: int) -> Graph:
+    """K_k; its k(k-1)/2 edges are held to ``MATERIALIZE_CAP`` before any
+    is built."""
     if k < 1:
         raise ValueError("complete_graph needs at least one node")
+    _check_edge_cap(f"complete_graph k={k}", k * (k - 1) // 2)
     return build_graph(combinations(range(k), 2), node_count=k)
 
 
@@ -126,7 +131,7 @@ def disjoint_union(a: Graph | BlowupView, b: Graph) -> Graph:
 
 
 def _check_edge_cap(name: str, m: int) -> None:
-    """Refuse a gadget of m edges above ``MATERIALIZE_CAP``, read at call time."""
+    """Refuse a graph of m edges above ``MATERIALIZE_CAP``, read at call time."""
     if m > MATERIALIZE_CAP:
         raise ValueError(f"{name} would have {m} edges, above the edge cap {MATERIALIZE_CAP}")
 

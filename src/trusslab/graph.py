@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 # Node ids must be below this: every id up to the largest is a node with its
 # own neighbor map, so a single edge line with a huge id would otherwise
@@ -115,46 +115,39 @@ def build_graph(edges: Iterable[tuple[int, int]], node_count: int | None = None)
     return Graph(n, adj, us, vs)
 
 
-class BucketQueue:
-    """Monotone bucket min-queue of the peels that fix a pop order.
+def ordered_peel(
+    keys: Iterable[int], removed: Callable[[int, int], Iterable[int]]
+) -> tuple[list[int], list[int]]:
+    """Pop every item by smallest (key, id); return the items in pop order
+    and the key each had when popped.
 
-    ``degeneracy_order``, the ordered truss peel (``_peel_from_supports``)
-    and the hypergraph peel pop from it; the level-synchronous trussness
-    peel and the marker rounds' core test use no queue.
+    Item ids are the positions of ``keys``, which must be non-negative.
+    After each pop, ``removed(item, key)`` names what the pop takes away:
+    each live item it returns has its key lowered by one per occurrence,
+    and items already popped are skipped.  A key driven below 0 raises
+    ValueError.  This is the one loop of every peel that fixes a pop order:
+    ``degeneracy_order``, the ordered truss peel and the hypergraph peel.
 
-    Keys are small non-negative integers that only move down, one unit per
-    occurrence of an item in a batch passed to ``decrease``; a peel hands
-    over everything one pop affects in a single call.  The scan pointer
-    resumes where it left off and is pulled back whenever a decrement dips
-    below it.  Ties break on the smallest item id via a lazy per-bucket
-    heap: stale entries are discarded when popped, so each key change costs
-    one push.  A popped item's key becomes -1, which no bucket holds, so
-    one key comparison tells a live entry from a stale one.
+    Keys only move down, one unit at a time, so each key has a lazy heap of
+    item ids: a key change costs one push, and an entry whose item has
+    since moved or been popped is discarded when it surfaces.  A popped
+    item's key becomes -1, which no heap holds, so one comparison tells a
+    live entry from a stale one.  The scan cursor resumes at the key of the
+    last pop and is pulled back whenever a decrement dips below it.
     """
-
-    __slots__ = ("_key", "_buckets", "_cur", "_count")
-
-    def __init__(self, keys: Iterable[int]):
-        self._key = list(keys)
-        self._buckets: dict[int, list[int]] = {}
-        # Items go in by ascending id, so every bucket starts as a heap.
-        for item, k in enumerate(self._key):
-            if k < 0:
-                raise ValueError("bucket keys must be non-negative")
-            self._buckets.setdefault(k, []).append(item)
-        self._cur = 0
-        self._count = len(self._key)
-
-    def __len__(self) -> int:
-        return self._count
-
-    def pop_min(self) -> tuple[int, int]:
-        """Remove and return ``(item, key)`` with the smallest (key, item)."""
-        if self._count == 0:
-            raise IndexError("pop from empty BucketQueue")
-        buckets = self._buckets
-        keys = self._key
-        cur = self._cur
+    key = list(keys)
+    buckets: dict[int, list[int]] = {}
+    # Items go in by ascending id, so every bucket starts as a heap.
+    for item, k in enumerate(key):
+        if k < 0:
+            raise ValueError("peel keys must be non-negative")
+        buckets.setdefault(k, []).append(item)
+    heappop, heappush = heapq.heappop, heapq.heappush
+    order: list[int] = []
+    popped_keys: list[int] = []
+    append_item, append_key = order.append, popped_keys.append
+    cur = 0
+    for _ in range(len(key)):
         heap = buckets.get(cur)
         while True:
             if not heap:
@@ -162,37 +155,28 @@ class BucketQueue:
                 cur += 1
                 heap = buckets.get(cur)
                 continue
-            item = heapq.heappop(heap)
-            if keys[item] == cur:
+            item = heappop(heap)
+            if key[item] == cur:
                 break
             # stale entry: the item was popped or its key has moved down
-        keys[item] = -1
-        self._cur = cur
-        self._count -= 1
-        return item, cur
-
-    def decrease(self, items: Iterable[int]) -> None:
-        """Decrement the key of each live item once per occurrence in
-        ``items``; items already popped are skipped."""
-        keys = self._key
-        buckets = self._buckets
-        cur = self._cur
-        for item in items:
-            k = keys[item] - 1
+        key[item] = -1
+        append_item(item)
+        append_key(cur)
+        for other in removed(item, cur):
+            k = key[other] - 1
             if k < 0:
                 if k == -2:  # popped
                     continue
-                self._cur = cur
-                raise ValueError(f"key of item {item} would become negative")
-            keys[item] = k
+                raise ValueError(f"key of item {other} would become negative")
+            key[other] = k
             heap = buckets.get(k)
             if heap is None:
-                buckets[k] = [item]
+                buckets[k] = [other]
             else:
-                heapq.heappush(heap, item)
+                heappush(heap, other)
             if k < cur:
                 cur = k
-        self._cur = cur
+    return order, popped_keys
 
 
 @dataclass(frozen=True)
@@ -212,21 +196,14 @@ class DegeneracyInfo:
 
 def degeneracy_order(g: Graph) -> DegeneracyInfo:
     """Peel nodes by minimum residual degree, ties by smallest node id."""
-    n = g.n
-    queue = BucketQueue(g.degree(u) for u in range(n))
-    order: list[int] = []
-    forward = [0] * n
-    positions = [0] * n
-    degeneracy = 0
-    for rank in range(n):
-        u, d = queue.pop_min()
-        order.append(u)
-        positions[u] = rank
+    adj = g._adj
+    order, degrees = ordered_peel(map(len, adj), lambda u, _: adj[u])
+    forward = [0] * g.n
+    positions = [0] * g.n
+    for rank, (u, d) in enumerate(zip(order, degrees)):
         forward[u] = d
-        if d > degeneracy:
-            degeneracy = d
-        queue.decrease(g.neighbors(u))  # popped neighbors are skipped
-    return DegeneracyInfo(order, degeneracy, forward, positions)
+        positions[u] = rank
+    return DegeneracyInfo(order, max(degrees, default=0), forward, positions)
 
 
 def forward_wedge_count(g: Graph, info: DegeneracyInfo) -> int:

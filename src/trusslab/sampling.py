@@ -25,6 +25,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Iterator, NamedTuple, Sequence
 
+from . import gadgets
 from .gadgets import spurious_clique_budget
 from .graph import DegeneracyInfo, Graph, build_graph, degeneracy_order, forward_wedge_count
 from .triangles import ForwardRow, Triples, forward_rows, list_triangles
@@ -424,19 +425,22 @@ def gnp_random_graph(n: int, p: float, seed: int) -> Graph:
     Pairs (i, j), i < j, are serialized lexicographically and visited by
     one ``geometric_skip`` draw per step, so the cost is proportional to
     the number of edges produced; p = 1 visits every pair without drawing.
-    The edges stream into ``build_graph``, whose node-count check runs
-    before the first draw.  Deterministic per seed.
+    The expected p*C(n, 2) edges are held to ``gadgets.MATERIALIZE_CAP``,
+    read at call time, before the first draw.  The edges stream into
+    ``build_graph``, whose node-count check runs before the first draw
+    too.  Deterministic per seed.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must be in [0, 1], got {p}")
+    total = n * (n - 1) // 2
+    gadgets._check_edge_cap(f"gnp_random_graph n={n} p={p} in expectation", math.ceil(p * total))
 
     def pairs() -> Iterator[tuple[int, int]]:
         if n < 2 or p == 0.0:
             return
         rng = random.Random(seed)
-        total = n * (n - 1) // 2
         row = 0
         row_start = 0
         row_len = n - 1

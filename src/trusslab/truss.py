@@ -3,8 +3,9 @@ and recovery of the decomposition from any truss-order oracle.
 
 Two peels give the same t(e).  ``edge_trussness``, for callers that read
 only t(e) or the trussness, peels level by level with no queue and no
-tie-break; ``truss_decomposition`` pops by (support, id) from a bucket
-queue and returns that order as well, for callers that read it.
+tie-break; ``truss_decomposition`` pops by (support, id) through
+``graph.ordered_peel`` and returns that order as well, for callers that
+read it.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Sequence
 
+from . import gadgets
 from .gadgets import blowup, disjoint_union, ladder_gadget
-from .graph import BucketQueue, Graph, degeneracy_order
+from .graph import Graph, degeneracy_order, ordered_peel
 from .triangles import SupportTable, compute_supports
 
 
@@ -74,40 +76,37 @@ def _triangle_maps(g: Graph, support: list[int]) -> list[dict[int, int]]:
 
 
 def _peel_from_supports(g: Graph, supports: SupportTable) -> tuple[TrussDecomposition, EdgeOrder]:
-    """Min-support peel from precomputed supports.
+    """Min-support peel from precomputed supports, by ``ordered_peel``.
 
     Works on per-peel neighbor -> edge-id maps that shrink as the peel
     goes: a popped edge leaves both endpoint maps before the smaller one is
     walked, so removed edges are never probed and every triangle found is
-    live.  The other two edges of all triangles a pop closes go to the
-    queue in one batched decrement.  An edge of support 0 lies in no
-    triangle, so it never enters the maps and its pop touches none; a pop
-    at key 0 only leaves the maps.
+    live.  A pop removes the other two edges of each triangle it closes
+    (``_closing_edge_ids``).  An edge of support 0 lies in no triangle, so
+    it never enters the maps and its pop touches none; a pop at key 0 only
+    leaves the maps.  t(e) is the running maximum of the popped keys.
     """
-    m = g.m
     support = supports.support
-    queue = BucketQueue(support)
     adj = _triangle_maps(g, support)
     pair = g.pair
-    t = [0] * m
-    order: list[int] = []
-    fwd: list[int] = []
+    t = [0] * g.m
     level = 0
-    for _ in range(m):
-        eid, s = queue.pop_min()
+
+    def removed(eid: int, s: int) -> Sequence[int]:
+        nonlocal level
         if s > level:
             level = s
         t[eid] = level
-        order.append(eid)
-        fwd.append(s)
-        if support[eid]:
-            u, v = pair(eid)
-            near = adj[u]
-            far = adj[v]
-            del near[v]
-            del far[u]
-            if s:
-                queue.decrease(_closing_edge_ids(near, far))
+        if not support[eid]:
+            return ()
+        u, v = pair(eid)
+        near = adj[u]
+        far = adj[v]
+        del near[v]
+        del far[u]
+        return _closing_edge_ids(near, far) if s else ()
+
+    order, fwd = ordered_peel(support, removed)
     return TrussDecomposition(t, level), EdgeOrder(order, fwd)
 
 
@@ -159,8 +158,8 @@ def edge_trussness(g: Graph) -> TrussDecomposition:
 
     The values ``truss_decomposition`` gives, by the level-synchronous peel
     of ``_trussness_from_supports``: for callers that read only t(e) or the
-    graph trussness, it skips the queue and the (support, id) tie-breaks
-    that the order needs.
+    graph trussness, it skips ``ordered_peel`` and the (support, id)
+    tie-breaks that the order needs.
     """
     return _trussness_from_supports(g, compute_supports(g))
 
@@ -252,13 +251,18 @@ def decomposition_from_order(g: Graph, oracle: OrderOracle) -> TrussDecompositio
     value in {0..2d+1}, where d is the degeneracy of g (an upper bound on its
     trussness).  In a truss order of the union, each blown edge sits between
     ladder edges of known consecutive trussness values, so the bracket pins
-    its even trussness uniquely; halving yields the base value.
+    its even trussness uniquely; halving yields the base value.  The 4m
+    blown edges are held to ``gadgets.MATERIALIZE_CAP``, read at call time,
+    before anything is built; they then stream into the union's one
+    ``build_graph`` call, so the blow-up is never built on its own.
 
     The oracle's output is replay-validated; a non-truss-order raises
     ValueError.
     """
     if g.m == 0:
         return TrussDecomposition([], 0)
+    q = 2  # edge base_id*q^2 + i*q + j of the blow-up copies base edge base_id
+    gadgets._check_edge_cap(f"the order reduction's {q}-fold blow-up", g.m * q * q)
 
     d = degeneracy_order(g).degeneracy
     ladder = ladder_gadget(2 * d + 2)
@@ -268,8 +272,8 @@ def decomposition_from_order(g: Graph, oracle: OrderOracle) -> TrussDecompositio
     if missing:
         raise RuntimeError(f"ladder gadget failed to realize trussness values {sorted(missing)}")
 
-    q = 2  # edge base_id*q^2 + i*q + j of the blow-up copies base edge base_id
-    blown = blowup(g, q).materialize()
+    # The blow-up's edges stream into the union's one build.
+    blown = blowup(g, q)
     union = disjoint_union(blown, ladder)
     raw = oracle(union)
     order = list(raw.order) if isinstance(raw, EdgeOrder) else list(raw)

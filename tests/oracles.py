@@ -5,10 +5,10 @@ subset sweeps, naive fixed points) without touching the peeling/sampling code
 paths under test, so expected values stay honest.  The exceptions are the
 reference slow paths kept to check fast ones against: the two-pass graph
 build that dedupes through a set of pairs and rebuilds every neighbor map
-in ascending-neighbor order, supports counted by
-the forward-wedge walk, the threshold estimator that rebuilds its graph
-every round, the peel with a removed-edge array and one heap push per
-decrement, the hypergraph peel that recounts every degree per pop, the
+in ascending-neighbor order, the node peel on one (degree, id) heap,
+supports counted by the forward-wedge walk, the threshold estimator that
+rebuilds its graph every round, the peel with a removed-edge array and one
+heap push per decrement, the hypergraph peel that recounts every degree per pop, the
 quadratic suffix replay, the marker estimator that
 materialises every round, the marker test that scans the whole order, the
 skip pass that scans for each probed wedge, the doubling loop that walks
@@ -30,7 +30,7 @@ import numpy as np
 
 from trusslab.approx import EstimateResult, ThresholdRound, hypergraph_degeneracy_order
 from trusslab.gadgets import add_spurious_cliques, blowup, complete_graph, disjoint_union
-from trusslab.graph import Graph, build_graph, degeneracy_order, forward_wedge_count
+from trusslab.graph import DegeneracyInfo, Graph, build_graph, degeneracy_order, forward_wedge_count
 from trusslab.sampling import (
     HypergraphSample,
     SamplerConfig,
@@ -218,6 +218,31 @@ def replay_min_degree_order(g: Graph, order: list[int]) -> bool:
             if v in remaining:
                 degree[v] -= 1
     return not remaining
+
+
+def reference_degeneracy_order(g: Graph) -> DegeneracyInfo:
+    """Min-degree node peel, ties by smallest node id, on one (residual
+    degree, id) heap with a removed flag and one push per decrement."""
+    degree = [g.degree(u) for u in range(g.n)]
+    heap = [(d, u) for u, d in enumerate(degree)]
+    heapq.heapify(heap)
+    removed = [False] * g.n
+    order: list[int] = []
+    forward = [0] * g.n
+    positions = [0] * g.n
+    while heap:
+        d, u = heapq.heappop(heap)
+        if removed[u] or d != degree[u]:
+            continue
+        removed[u] = True
+        positions[u] = len(order)
+        order.append(u)
+        forward[u] = d
+        for v in g.neighbors(u):
+            if not removed[v]:
+                degree[v] -= 1
+                heapq.heappush(heap, (degree[v], v))
+    return DegeneracyInfo(order, max(forward, default=0), forward, positions)
 
 
 def reference_compute_supports(g: Graph) -> SupportTable:

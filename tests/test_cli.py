@@ -545,9 +545,12 @@ def test_zeta_whose_first_p_underflows_is_one_line_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, name", [(["gadget", "ladder", "-x", "5"], "ladder gadget x=5"),
                                         (["gadget", "bipartite-apex", "-s", "4"],
-                                         "bipartite-apex gadget side=4")])
+                                         "bipartite-apex gadget side=4"),
+                                        (["gen", "random", "20", "0.5"],
+                                         "gnp_random_graph n=20 p=0.5 in expectation")])
 def test_gadget_past_the_edge_cap_is_one_line_error(capsys, monkeypatch, argv, name):
-    """Above ``MATERIALIZE_CAP`` a gadget stops on one line naming it, exit 1."""
+    """Above ``MATERIALIZE_CAP`` a gadget or a generated graph stops on one
+    line naming it, exit 1."""
     monkeypatch.setattr(trusslab.gadgets, "MATERIALIZE_CAP", 20)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")

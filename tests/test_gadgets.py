@@ -247,10 +247,12 @@ def test_gadget_edges_are_the_listed_edges():
 
 
 @pytest.mark.parametrize("build, k, name", [(ladder_gadget, 5, "ladder gadget x=5"),
-                                            (bipartite_apex, 4, "bipartite-apex gadget side=4")])
+                                            (bipartite_apex, 4, "bipartite-apex gadget side=4"),
+                                            (complete_graph, 6, "complete_graph k=6")])
 def test_gadget_above_the_edge_cap_is_refused_unbuilt(monkeypatch, build, k, name):
-    """x^2 ladder edges and s^2+2s apex edges are held to ``MATERIALIZE_CAP``,
-    read at call time, before ``build_graph`` sees any; at the cap it builds."""
+    """x^2 ladder edges, s^2+2s apex edges and k(k-1)/2 clique edges are held
+    to ``MATERIALIZE_CAP``, read at call time, before ``build_graph`` sees
+    any; at the cap it builds."""
     m = build(k).m
     built = []
     monkeypatch.setattr(gadgets, "build_graph", lambda *a, **kw: built.append(a))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 import trusslab.graph
-from conftest import figure_left_graph, traced_bytes
+from conftest import figure_left_graph, gadget_graphs, traced_bytes
 from trusslab.approx import approx_truss_order, estimate_trussness, threshold_rounds
 from trusslab.gadgets import (
     add_spurious_cliques,
@@ -19,11 +19,11 @@ from trusslab.gadgets import (
     ladder_gadget,
 )
 from trusslab.graph import (
-    BucketQueue,
     Graph,
     build_graph,
     degeneracy_order,
     forward_wedge_count,
+    ordered_peel,
 )
 from trusslab.io import load_graph
 from trusslab.sampling import SamplerConfig, gnp_random_graph, sample_hypergraph
@@ -358,6 +358,22 @@ def test_degeneracy_order_is_min_degree_peeling(g):
         assert info.degeneracy == oracles.brute_degeneracy(g)
 
 
+@settings(max_examples=100)
+@given(small_graphs(max_nodes=12))
+def test_degeneracy_order_matches_the_reference_heap(g):
+    """Order, forward degrees, positions and degeneracy equal those of one
+    (residual degree, id) heap: ties break by the smallest node id."""
+    assert degeneracy_order(g) == oracles.reference_degeneracy_order(g)
+
+
+def test_degeneracy_order_matches_the_reference_heap_on_seeded_and_gadget_graphs():
+    graphs = [gnp_random_graph(n, p, seed) for n, p in ((40, 0.1), (60, 0.3), (200, 0.03))
+              for seed in range(3)]
+    graphs += [g for _, g in gadget_graphs()]
+    for g in graphs:
+        assert degeneracy_order(g) == oracles.reference_degeneracy_order(g)
+
+
 @given(small_graphs())
 def test_forward_degrees_count_later_neighbors(g):
     info = degeneracy_order(g)
@@ -395,77 +411,67 @@ def test_forward_wedges_match_enumeration(g):
     assert forward_wedge_count(g, info) == oracles.brute_forward_wedges(g, info.order)
 
 
-# ----------------------------------------------------------- bucket queue ----
+# ----------------------------------------------------------- ordered peel ----
 
 
-def test_bucket_queue_orders_by_key_then_id():
-    q = BucketQueue([2, 0, 2, 1])
-    assert q.pop_min() == (1, 0)
-    assert q.pop_min() == (3, 1)
-    q.decrease([2])
-    assert q.pop_min() == (2, 1)
-    assert q.pop_min() == (0, 2)
-    with pytest.raises(IndexError):
-        q.pop_min()
+def assert_pops(keys, pops):
+    """``ordered_peel`` pops the (item, key) of each (item, key, batch) in
+    ``pops`` in turn, and that pop removes the batch.  Each pop is checked
+    as it happens, so a wrong one stops the peel."""
+    expected = iter(pops)
+
+    def removed(item, key):
+        want = next(expected, None)
+        assert want is not None and (item, key) == want[:2]
+        return want[2]
+
+    order, keys_at_pop = ordered_peel(keys, removed)
+    assert (order, keys_at_pop) == ([i for i, _, _ in pops], [k for _, k, _ in pops])
 
 
-def test_bucket_queue_cursor_follows_decrements():
-    q = BucketQueue([5, 5, 5])
-    assert q.pop_min() == (0, 5)
-    q.decrease([2, 2])
-    assert q.pop_min() == (2, 3)
-    assert q.pop_min() == (1, 5)
+def test_ordered_peel_orders_by_key_then_id():
+    assert_pops([2, 0, 2, 1], [(1, 0, ()), (3, 1, [2]), (2, 1, ()), (0, 2, ())])
+    assert_pops([], [])
 
 
-def test_bucket_queue_decrease_counts_duplicates():
-    q = BucketQueue([3, 3, 3])
-    q.decrease([1, 2, 1])
-    assert q.pop_min() == (1, 1)
-    assert q.pop_min() == (2, 2)
-    assert q.pop_min() == (0, 3)
+def test_ordered_peel_cursor_follows_decrements():
+    assert_pops([5, 5, 5], [(0, 5, [2, 2]), (2, 3, ()), (1, 5, ())])
 
 
-def test_bucket_queue_decrease_skips_popped_items():
-    q = BucketQueue([1, 2, 2])
-    assert q.pop_min() == (0, 1)
-    q.decrease([0, 2, 0])
-    assert len(q) == 2
-    assert q.pop_min() == (2, 1)
-    assert q.pop_min() == (1, 2)
+def test_ordered_peel_decrement_counts_duplicates():
+    assert_pops([3, 3, 3, 3], [(0, 3, [2, 3, 2]), (2, 1, ()), (3, 2, ()), (1, 3, ())])
 
 
-def test_bucket_queue_decrease_pulls_cursor_back():
-    q = BucketQueue([4, 4, 6])
-    assert q.pop_min() == (0, 4)
-    q.decrease([2, 2, 2, 2, 2])
-    assert q.pop_min() == (2, 1)
-    assert q.pop_min() == (1, 4)
-    with pytest.raises(ValueError):
-        BucketQueue([1]).decrease([0, 0])
+def test_ordered_peel_skips_popped_items():
+    assert_pops([1, 2, 2], [(0, 1, [0, 2, 0]), (2, 1, ()), (1, 2, ())])
+
+
+def test_ordered_peel_decrement_pulls_cursor_back():
+    assert_pops([4, 4, 6], [(0, 4, [2, 2, 2, 2, 2]), (2, 1, ()), (1, 4, ())])
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_bucket_queue_matches_brute_min(data):
+def test_ordered_peel_matches_brute_min(data):
     keys = data.draw(st.lists(st.integers(0, 15), min_size=1, max_size=30))
     items = st.integers(0, len(keys) - 1)
-    q = BucketQueue(keys)
     live = dict(enumerate(keys))
-    while live:
-        # A batch repeats items and names popped ones, which the queue
-        # skips; a live item occurs at most as often as its key allows.
+    pops = []
+
+    def removed(item, key):
+        assert (key, item) == min((k, i) for i, k in live.items())
+        del live[item]
+        pops.append(item)
+        # A batch repeats items, names popped ones (which the peel skips)
+        # or is empty; a live item occurs at most as often as its key allows.
         batch = []
-        for item in data.draw(st.lists(items, max_size=2 * len(keys))):
-            if item not in live:
-                batch.append(item)
-            elif live[item]:
-                live[item] -= 1
-                batch.append(item)
-        q.decrease(batch)
-        for _ in range(min(len(live), data.draw(st.integers(1, 3)))):
-            key, item = min((k, i) for i, k in live.items())
-            assert q.pop_min() == (item, key)
-            del live[item]
-            assert len(q) == len(live)
-    with pytest.raises(IndexError):
-        q.pop_min()
+        for other in data.draw(st.lists(items, max_size=2 * len(keys))):
+            if other not in live:
+                batch.append(other)
+            elif live[other]:
+                live[other] -= 1
+                batch.append(other)
+        return batch
+
+    order, _ = ordered_peel(keys, removed)
+    assert order == pops and not live

@@ -8,7 +8,7 @@ import pytest
 
 from trusslab.approx import approx_order_holds
 from trusslab.gadgets import add_spurious_cliques, bipartite_apex, complete_graph, ladder_gadget
-from trusslab.graph import BucketQueue, build_graph
+from trusslab.graph import build_graph, ordered_peel
 from trusslab.sampling import gnp_random_graph
 from trusslab.truss import max_truss_subgraph, suffix_support_profile, truss_decomposition
 
@@ -28,7 +28,11 @@ CHECKS = {
     "max_truss_subgraph(K3, -1)": (lambda: max_truss_subgraph(K3, -1), "k must be >= 0"),
     "suffix_support_profile(K3, [0, 0, 1])": (lambda: suffix_support_profile(K3, [0, 0, 1]),
                                               "order is not a permutation of the edge ids"),
-    "BucketQueue([-1])": (lambda: BucketQueue([-1]), "bucket keys must be non-negative"),
+    "ordered_peel([-1])": (lambda: ordered_peel([-1], lambda *_: ()),
+                           "peel keys must be non-negative"),
+    # the first pop removes item 1 twice, one more than its key allows
+    "ordered_peel([0, 1]) below 0": (lambda: ordered_peel([0, 1], lambda *_: [1, 1]),
+                                     "key of item 1 would become negative"),
     # an exact truss order of K4 holds at every non-negative epsilon, 0 too
     "approx_order_holds(K4, 0)": (lambda: approx_order_holds(K4, K4_ORDER, 0.0), True),
     **{f"approx_order_holds(K4, {eps})": (

@@ -706,6 +706,24 @@ def test_gnp_node_count_is_refused_before_any_draw(monkeypatch):
     assert draws == []
 
 
+def test_gnp_above_the_edge_cap_is_refused_unbuilt(monkeypatch):
+    """The expected p*C(n, 2) edges are held to ``MATERIALIZE_CAP``, read at
+    call time, before the first skip is drawn and before ``build_graph`` is
+    called; at the cap it builds."""
+    draws, built = [], []
+    monkeypatch.setattr(sampling, "geometric_skip", lambda *a: draws.append(a) or 1)
+    monkeypatch.setattr(sampling, "build_graph", lambda *a, **kw: built.append(a))
+    monkeypatch.setattr(gadgets, "MATERIALIZE_CAP", 22)  # 0.5 * C(10, 2) = 22.5
+    with pytest.raises(ValueError) as err:
+        gnp_random_graph(10, 0.5, 0)
+    assert str(err.value) == ("gnp_random_graph n=10 p=0.5 in expectation would have 23 edges,"
+                              " above the edge cap 22")
+    assert draws == [] and built == []
+    monkeypatch.setattr(gadgets, "MATERIALIZE_CAP", 23)
+    gnp_random_graph(10, 0.5, 0)
+    assert len(built) == 1
+
+
 def test_gnp_determinism():
     a = gnp_random_graph(30, 0.3, 5)
     b = gnp_random_graph(30, 0.3, 5)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 import oracles
 from conftest import FIGURE_LEFT_TRUSSNESS, traced_bytes
 from test_graph import small_graphs
+from trusslab import gadgets
 from trusslab.gadgets import (
     add_spurious_cliques,
     bipartite_apex,
@@ -443,6 +444,34 @@ def test_reduction_matches_direct_peeling(g):
     got = decomposition_from_order(g, exact_order_oracle)
     want, _ = truss_decomposition(g)
     assert got == want
+
+
+def test_reduction_builds_its_union_once(monkeypatch):
+    """The 2-fold blow-up streams into the union's one ``build_graph`` call,
+    the only build besides the ladder's; with ``MATERIALIZE_CAP`` one below
+    the 4m blown edges the reduction stops before it builds anything or
+    calls the oracle."""
+    g = gnp_random_graph(30, 0.2, 1)
+    ladder_m = (2 * degeneracy_order(g).degeneracy + 2) ** 2
+    assert ladder_m <= 4 * g.m
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(build_graph(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(gadgets, "build_graph", spy)
+    monkeypatch.setattr(gadgets, "MATERIALIZE_CAP", 4 * g.m)
+    assert decomposition_from_order(g, exact_order_oracle) == truss_decomposition(g)[0]
+    assert [h.m for h in built] == [ladder_m, 4 * g.m + ladder_m]
+    built.clear()
+    monkeypatch.setattr(gadgets, "MATERIALIZE_CAP", 4 * g.m - 1)
+    called = []
+    with pytest.raises(ValueError) as err:
+        decomposition_from_order(g, called.append)
+    assert str(err.value) == (f"the order reduction's 2-fold blow-up would have {4 * g.m}"
+                              f" edges, above the edge cap {4 * g.m - 1}")
+    assert built == [] and called == []
 
 
 def test_reduction_rejects_invalid_oracle():
