@@ -12,10 +12,9 @@ from typing import Iterator
 from .graph import Graph, build_graph
 
 # Edge cap of the estimator's working graph, of the order reduction's
-# blow-up, of ``complete_graph``, ``gnp_random_graph``, ``ladder_gadget`` and
-# ``bipartite_apex``: each reads it at call time and refuses a graph above it
-# before building any of it.  ``BlowupView.materialize`` takes it as its
-# default, bound when this module loads.
+# blow-up, of ``BlowupView.materialize``, ``complete_graph``,
+# ``gnp_random_graph``, ``ladder_gadget`` and ``bipartite_apex``: each reads
+# it at call time and refuses a graph above it before building any of it.
 MATERIALIZE_CAP = 10_000_000
 
 
@@ -57,10 +56,10 @@ class BlowupView:
                 for j in range(q):
                     yield (a, v * q + j)
 
-    def materialize(self, max_edges: int = MATERIALIZE_CAP) -> Graph:
-        """The explicit graph; refuses one of more than ``max_edges`` edges."""
-        if self.m > max_edges:
-            raise ValueError(f"refusing to materialize {self.m} edges (cap {max_edges})")
+    def materialize(self) -> Graph:
+        """The explicit graph; its m edges are held to ``MATERIALIZE_CAP``
+        before any is built."""
+        _check_edge_cap(f"blow-up q={self.q}", self.m)
         return build_graph(self.edges(), node_count=self.n)
 
 
@@ -140,8 +139,9 @@ def ladder_gadget(x: int) -> Graph:
     """K_x plus x pendant nodes of increasing attachment degree.
 
     Pendant i (1-based) is adjacent to clique nodes 0..i-1, so its edges have
-    trussness exactly i-1; together with the clique edges the gadget realizes
-    every trussness value in {0, ..., x-1}.  Used as a calibrated ruler of
+    trussness exactly i-1.  Pendant x closes K_x into K_{x+1}, so the clique
+    edges have trussness x-1, and the gadget realizes every trussness value
+    in {0, ..., x-1} (``ladder_trussness``).  Used as a calibrated ruler of
     known trussness values when decoding a truss order.  Its x^2 edges are
     held to ``MATERIALIZE_CAP`` before any is built.
     """
@@ -150,6 +150,13 @@ def ladder_gadget(x: int) -> Graph:
     _check_edge_cap(f"ladder gadget x={x}", x * x)
     pendants = ((c, x + i - 1) for i in range(1, x + 1) for c in range(i))
     return build_graph(chain(combinations(range(x), 2), pendants), node_count=2 * x)
+
+
+def ladder_trussness(x: int) -> list[int]:
+    """Trussness of each edge of ``ladder_gadget(x)``, by edge id, in closed
+    form: x-1 on the C(x, 2) clique edges, then i-1 on the i edges of each
+    pendant i."""
+    return [x - 1] * (x * (x - 1) // 2) + [i - 1 for i in range(1, x + 1) for _ in range(i)]
 
 
 def bipartite_apex(side: int) -> Graph:

@@ -15,7 +15,7 @@ from itertools import compress
 from typing import Callable, Sequence
 
 from . import gadgets
-from .gadgets import blowup, disjoint_union, ladder_gadget
+from .gadgets import blowup, disjoint_union, ladder_gadget, ladder_trussness
 from .graph import Graph, degeneracy_order, ordered_peel
 from .triangles import SupportTable, compute_supports
 
@@ -249,28 +249,28 @@ def decomposition_from_order(g: Graph, oracle: OrderOracle) -> TrussDecompositio
     Builds the 2-fold blow-up of g (every edge trussness becomes even, twice
     its base value) united with a ladder gadget realizing every trussness
     value in {0..2d+1}, where d is the degeneracy of g (an upper bound on its
-    trussness).  In a truss order of the union, each blown edge sits between
-    ladder edges of known consecutive trussness values, so the bracket pins
-    its even trussness uniquely; halving yields the base value.  The 4m
-    blown edges are held to ``gadgets.MATERIALIZE_CAP``, read at call time,
-    before anything is built; they then stream into the union's one
-    ``build_graph`` call, so the blow-up is never built on its own.
+    trussness); the ladder's values are read in closed form
+    (``gadgets.ladder_trussness``), never peeled.  The 4m blown edges are
+    held to ``gadgets.MATERIALIZE_CAP``, read at call time, before anything
+    is built; they then stream into the union's one ``build_graph`` call, so
+    the blow-up is never built on its own.
 
     The oracle's output is replay-validated; a non-truss-order raises
-    ValueError.
+    ValueError.  Trussness never falls along an exact truss order, so a
+    blown edge of trussness 2k comes after every ladder edge of value 2k-1
+    and before every one of 2k+1: the last ladder edge before it has value
+    2k-1 or 2k (or there is none, and k = 0), and one forward pass decodes
+    its base value as ``(prev + 1) // 2``.  Every bracket is thus pinned
+    once the order is valid, so no bracket needs a check of its own.
     """
     if g.m == 0:
         return TrussDecomposition([], 0)
     q = 2  # edge base_id*q^2 + i*q + j of the blow-up copies base edge base_id
     gadgets._check_edge_cap(f"the order reduction's {q}-fold blow-up", g.m * q * q)
 
-    d = degeneracy_order(g).degeneracy
-    ladder = ladder_gadget(2 * d + 2)
-    ladder_t = edge_trussness(ladder).edge_trussness
-    achieved = set(ladder_t)
-    missing = set(range(2 * d + 2)) - achieved
-    if missing:
-        raise RuntimeError(f"ladder gadget failed to realize trussness values {sorted(missing)}")
+    x = 2 * degeneracy_order(g).degeneracy + 2
+    ladder = ladder_gadget(x)
+    ladder_t = ladder_trussness(x)
 
     # The blow-up's edges stream into the union's one build.
     blown = blowup(g, q)
@@ -280,31 +280,14 @@ def decomposition_from_order(g: Graph, oracle: OrderOracle) -> TrussDecompositio
     if not is_exact_truss_order(union, order):
         raise ValueError("oracle output is not a truss order of the gadget graph")
 
-    # Trussness of the next ladder edge at or after each position.
-    total = len(order)
-    next_ladder = [0] * (total + 1)
-    next_ladder[total] = -1
-    for i in range(total - 1, -1, -1):
-        eid = order[i]
-        if eid >= blown.m:
-            next_ladder[i] = ladder_t[eid - blown.m]
-        else:
-            next_ladder[i] = next_ladder[i + 1]
-
     t_base = [-1] * g.m
-    prev = 0
-    for i, eid in enumerate(order):
+    prev = 0  # trussness of the last ladder edge so far
+    for eid in order:
         if eid >= blown.m:
             prev = ladder_t[eid - blown.m]
             continue
-        hi = next_ladder[i + 1]
-        if hi < 0:
-            raise RuntimeError("blown edge beyond the last ladder marker")
-        evens = [val for val in range(prev, hi + 1) if val % 2 == 0]
-        if len(evens) != 1:
-            raise RuntimeError(f"ladder bracket [{prev}, {hi}] does not pin a single even value")
         base_eid = eid // (q * q)
-        half = evens[0] // 2
+        half = (prev + 1) // 2
         if t_base[base_eid] == -1:
             t_base[base_eid] = half
         elif t_base[base_eid] != half:

@@ -485,7 +485,6 @@ def test_non_numeric_flag_is_usage_error(tmp_path, capsys, argv, kind):
         (["gadget", "ladder", "-x", "0"], "0"),
         (["gadget", "bipartite-apex", "-s", "0"], "0"),
         (["gen", "random", "-3", "0.5"], "-3"),
-        (["gadget", "blowup", "-q", "2", "--max-edges", "-1", "{k3}"], "-1"),
     ],
 )
 def test_integer_flag_out_of_range_is_usage_error(tmp_path, capsys, argv, value):
@@ -547,12 +546,14 @@ def test_zeta_whose_first_p_underflows_is_one_line_error(tmp_path, capsys):
                                         (["gadget", "bipartite-apex", "-s", "4"],
                                          "bipartite-apex gadget side=4"),
                                         (["gen", "random", "20", "0.5"],
-                                         "gnp_random_graph n=20 p=0.5 in expectation")])
-def test_gadget_past_the_edge_cap_is_one_line_error(capsys, monkeypatch, argv, name):
+                                         "gnp_random_graph n=20 p=0.5 in expectation"),
+                                        (["gadget", "blowup", "-q", "2", "{k5}"], "blow-up q=2")])
+def test_gadget_past_the_edge_cap_is_one_line_error(tmp_path, capsys, monkeypatch, argv, name):
     """Above ``MATERIALIZE_CAP`` a gadget or a generated graph stops on one
     line naming it, exit 1."""
+    k5 = write_graph(tmp_path, "k5.edges", k5_text())
     monkeypatch.setattr(trusslab.gadgets, "MATERIALIZE_CAP", 20)
-    code, out, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *(a.format(k5=k5) for a in argv))
     assert (code, out) == (1, "")
     assert err.startswith(f"trusslab: error: {name} would have ")
     assert err.endswith(" edges, above the edge cap 20\n") and err.count("\n") == 1

@@ -15,12 +15,13 @@ from trusslab.gadgets import (
     complete_graph,
     disjoint_union,
     ladder_gadget,
+    ladder_trussness,
     spurious_clique_budget,
 )
 from trusslab.graph import build_graph
 from trusslab.sampling import gnp_random_graph
 from trusslab.triangles import compute_supports, list_triangles
-from trusslab.truss import truss_decomposition, trussness
+from trusslab.truss import edge_trussness, truss_decomposition, trussness
 
 
 # ---------------------------------------------------------------- blowup ----
@@ -51,9 +52,20 @@ def test_blowup_figure_left_doubles_trussness(figure_left):
     assert trussness(mat) == 4
 
 
-def test_blowup_materialize_cap():
-    with pytest.raises(ValueError):
-        blowup(complete_graph(4), 3).materialize(max_edges=10)
+def test_blowup_materialize_cap(monkeypatch):
+    """The q^2 m blown edges are held to ``MATERIALIZE_CAP``, read at call
+    time, before ``build_graph`` sees any; at the cap it builds."""
+    view = blowup(complete_graph(4), 3)
+    built = []
+    monkeypatch.setattr(gadgets, "build_graph", lambda *a, **kw: built.append(a))
+    monkeypatch.setattr(gadgets, "MATERIALIZE_CAP", view.m - 1)
+    with pytest.raises(ValueError) as err:
+        view.materialize()
+    assert str(err.value) == "blow-up q=3 would have 54 edges, above the edge cap 53"
+    assert built == []
+    monkeypatch.setattr(gadgets, "MATERIALIZE_CAP", view.m)
+    view.materialize()
+    assert len(built) == 1
 
 
 @settings(max_examples=30)
@@ -225,6 +237,8 @@ def test_ladder_realizes_full_value_range(x):
 
 
 def test_ladder_pendant_edge_trussness():
+    """Pendant i's edges have trussness i-1, and ``ladder_trussness`` gives
+    the peel's value of every edge id, clique edges included."""
     x = 5
     g = ladder_gadget(x)
     decomp, _ = truss_decomposition(g)
@@ -232,6 +246,8 @@ def test_ladder_pendant_edge_trussness():
         pendant = x + i - 1
         for c in range(i):
             assert decomp.edge_trussness[g.edge_id(c, pendant)] == i - 1
+    for x in range(1, 41):
+        assert ladder_trussness(x) == edge_trussness(ladder_gadget(x)).edge_trussness
 
 
 # ---------------------------------------------------------------- apex ----

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
-from conftest import FIGURE_LEFT_TRUSSNESS, traced_bytes
+from conftest import FIGURE_LEFT_TRUSSNESS, gadget_graphs, traced_bytes
 from test_graph import small_graphs
 from trusslab import gadgets
 from trusslab.gadgets import (
@@ -13,6 +13,7 @@ from trusslab.gadgets import (
     bipartite_apex,
     blowup,
     complete_graph,
+    disjoint_union,
     ladder_gadget,
 )
 from trusslab.graph import Graph, build_graph, degeneracy_order
@@ -432,10 +433,16 @@ def test_reduction_figure_left(figure_left):
 
 
 def test_reduction_seeded_random():
-    g = gnp_random_graph(8, 0.6, 2024)
-    got = decomposition_from_order(g, exact_order_oracle)
-    want, _ = truss_decomposition(g)
-    assert got == want
+    """On a seeded G(n, p), and on graphs whose degeneracy is far above
+    their trussness, so that the ladder reaches far past every blown edge
+    and many of them come after an odd ladder value."""
+    k77 = build_graph([(u, v) for u in range(7) for v in range(7, 14)])
+    graphs = [gnp_random_graph(8, 0.6, 2024), bipartite_apex(6), k77,
+              disjoint_union(k77, complete_graph(4)), ladder_gadget(3), ladder_gadget(7),
+              blowup(complete_graph(4), 2).materialize(), blowup(bipartite_apex(3), 2).materialize(),
+              *(g for _, g in gadget_graphs())]
+    for g in graphs:
+        assert decomposition_from_order(g, exact_order_oracle) == truss_decomposition(g)[0]
 
 
 @settings(max_examples=25, deadline=None)
@@ -472,6 +479,37 @@ def test_reduction_builds_its_union_once(monkeypatch):
     assert str(err.value) == (f"the order reduction's 2-fold blow-up would have {4 * g.m}"
                               f" edges, above the edge cap {4 * g.m - 1}")
     assert built == [] and called == []
+
+
+def test_the_ladder_is_never_peeled(capsys, monkeypatch):
+    """The ladder's trussness is known in closed form
+    (``gadgets.ladder_trussness``): neither the reduction nor ``gadget
+    ladder`` hands the ladder to ``edge_trussness`` or ``compute_supports``,
+    while the oracle still peels the union."""
+    import trusslab.cli as cli
+    import trusslab.truss as truss
+
+    ladders, peeled = [], []
+
+    def build(x):
+        ladders.append(ladder_gadget(x))
+        return ladders[-1]
+
+    def spy(real):
+        def call(g, *args, **kwargs):
+            peeled.append(g)
+            return real(g, *args, **kwargs)
+        return call
+
+    for module in (truss, cli):
+        monkeypatch.setattr(module, "ladder_gadget", build)
+        for name in ("edge_trussness", "compute_supports"):
+            monkeypatch.setattr(module, name, spy(getattr(module, name)))
+    g = gnp_random_graph(12, 0.5, 3)
+    assert decomposition_from_order(g, exact_order_oracle) == truss_decomposition(g)[0]
+    assert cli.main(["gadget", "ladder", "-x", "6"]) == 0
+    assert len(ladders) == 2 and peeled
+    assert not [h for h in peeled if any(h is ladder for ladder in ladders)]
 
 
 def test_reduction_rejects_invalid_oracle():
